@@ -362,21 +362,46 @@ void BM_WindowRecordPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowRecordPipeline);
 
+// --- Per-window inference as the engine pays it: one feature row through
+// a VCA's four target forests (frame rate, bitrate, jitter, resolution),
+// flattened as ForestBackend holds them. The forests are trained the way
+// perfbench trains its models — 40 trees each over several lab calls — and
+// the rows are those calls' own IP/UDP feature windows, so tree depths and
+// paths follow the distribution the engine sees.
 void BM_ForestInference(benchmark::State& state) {
-  static const auto setup = [] {
-    const auto records = core::buildWindowRecords(sampleSession());
-    const auto data = core::buildMlDataset(
-        records, features::FeatureSet::kIpUdp, rxstats::Metric::kFrameRate);
-    ml::RandomForest forest;
+  struct Setup {
+    std::vector<ml::FlattenedForest> forests;
+    std::vector<std::vector<double>> rows;
+  };
+  static const Setup setup = [] {
+    datasets::LabDatasetOptions calls;
+    calls.callsPerVca = 4;
+    calls.seed = 0x7EA1CA11ULL;
+    const auto records = datasets::recordsForSessions(
+        datasets::sessionsForVca(datasets::generateLabDataset(calls), "teams"));
     ml::ForestOptions options;
     options.numTrees = 40;
-    forest.fit(data, ml::TreeTask::kRegression, options, 3);
-    return std::make_pair(forest, data);
+    Setup s;
+    std::uint64_t seed = 0xF0E57ULL;
+    for (const auto metric :
+         {rxstats::Metric::kFrameRate, rxstats::Metric::kBitrate,
+          rxstats::Metric::kFrameJitter, rxstats::Metric::kResolution}) {
+      const auto data =
+          core::buildMlDataset(records, features::FeatureSet::kIpUdp, metric,
+                               core::resolutionCodecFor("teams"));
+      ml::RandomForest forest;
+      forest.fit(data, core::taskFor(metric), options, seed++);
+      s.forests.emplace_back(forest);
+      if (s.rows.empty()) s.rows = data.x;
+    }
+    return s;
   }();
-  const auto& [forest, data] = setup;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict(data.x[i % data.rows()]));
+    const auto& row = setup.rows[i % setup.rows.size()];
+    for (const auto& forest : setup.forests) {
+      benchmark::DoNotOptimize(forest.predict(row));
+    }
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -17,12 +17,16 @@ namespace {
 double centralMoment2(std::span<const double> xs, double mu) {
   return simd::centralMoment2F64(xs.data(), xs.size(), mu);
 }
+
+/// Sample standard deviation around an already computed mean `mu`.
+double sampleStdevAround(std::span<const double> xs, double mu) {
+  if (xs.size() < 2) return 0.0;
+  return std::sqrt(centralMoment2(xs, mu) / static_cast<double>(xs.size() - 1));
+}
 }  // namespace
 
 double sampleStdev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double mu = mean(xs);
-  return std::sqrt(centralMoment2(xs, mu) / static_cast<double>(xs.size() - 1));
+  return sampleStdevAround(xs, mean(xs));
 }
 
 double populationStdev(std::span<const double> xs) {
@@ -44,13 +48,32 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
+double median(std::span<const double> xs) {
+  // percentile(xs, 50.0) by selection instead of a full sort: the element
+  // at rank `lo` comes from nth_element, the one above it is the minimum of
+  // the partition above `lo`, and they combine through percentile's own
+  // expression — the same two order statistics, so the same bits.
+  const std::size_t n = xs.size();
+  if (n == 0) return 0.0;
+  if (n == 1) return xs.front();
+  thread_local std::vector<double> scratch;
+  scratch.assign(xs.begin(), xs.end());
+  const double rank = 50.0 / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const auto loIt = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(scratch.begin(), loIt, scratch.end());
+  // n >= 2 puts lo + 1 <= n - 1, so percentile's `hi` is always lo + 1.
+  const double a = *loIt;
+  const double b = *std::min_element(loIt + 1, scratch.end());
+  return a + frac * (b - a);
+}
 
 FiveNumber fiveNumber(std::span<const double> xs) {
   FiveNumber f;
   if (xs.empty()) return f;
   f.mean = mean(xs);
-  f.stdev = sampleStdev(xs);
+  f.stdev = sampleStdevAround(xs, f.mean);
   f.median = median(xs);
   const auto [lo, hi] = simd::minMaxF64(xs.data(), xs.size());
   f.min = lo;

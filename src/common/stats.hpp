@@ -28,12 +28,17 @@ double sampleStdev(std::span<const double> xs);
 double populationStdev(std::span<const double> xs);
 
 /// Linear-interpolated percentile, p in [0, 100]. 0 for an empty span.
+/// Sorts a copy — the reference `median` is tested against.
 double percentile(std::span<const double> xs, double p);
 
-/// Median (50th percentile).
+/// Median: bit-identical to `percentile(xs, 50.0)` for NaN-free input (a
+/// +0.0 and -0.0 tied at the median may trade places), by selection
+/// (nth_element) over a reused thread-local copy rather than a sort — no
+/// allocation in steady state.
 double median(std::span<const double> xs);
 
-/// All five statistics in one pass (plus one sort).
+/// All five statistics: one mean, shared by the standard deviation, plus
+/// the median's selection and one min/max pass.
 FiveNumber fiveNumber(std::span<const double> xs);
 
 /// Streaming mean/variance/min/max via Welford's algorithm.

@@ -202,7 +202,8 @@ void StreamingEstimator::emitReadyWindows(std::optional<common::TimeNs> now) {
     // Heuristic metrics from closed frames ending inside this window,
     // consumed in global end order (gap chain mirrors the batch estimator).
     const double seconds = common::nsToSeconds(options_.windowNs);
-    std::vector<double> gaps;
+    thread_local std::vector<double> gaps;  // reused: no per-window alloc
+    gaps.clear();
     while (consumedFrames < closedFrames_.size() &&
            closedFrames_[consumedFrames].endNs < windowEnd) {
       const HeuristicFrame& frame = closedFrames_[consumedFrames];

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/simd.hpp"
 #include "common/stats.hpp"
@@ -35,12 +33,13 @@ const WindowColumns& gatherColumns(std::span<const netflow::Packet> packets,
   return columns;
 }
 
-}  // namespace
-
-std::vector<double> flowStatistics(
-    std::span<const common::TimeNs> videoArrivalNs,
-    std::span<const std::uint32_t> videoSizeBytes,
-    common::DurationNs windowNs) {
+/// Appends the 12 flow-level statistics. The widened sizes and the
+/// interarrival gaps live in reused thread-local scratch, so the only
+/// allocation on this path is growth of `out` itself.
+void appendFlowStatistics(std::vector<double>& out,
+                          std::span<const common::TimeNs> videoArrivalNs,
+                          std::span<const std::uint32_t> videoSizeBytes,
+                          common::DurationNs windowNs) {
   const double seconds = common::nsToSeconds(windowNs);
   const std::size_t n = videoSizeBytes.size();
 
@@ -48,18 +47,62 @@ std::vector<double> flowStatistics(
   // uint32 sizes once (exact), sum bytes over the widened copy (integer
   // values, so the fixed-association SIMD sum is exact too), and convert
   // the interarrival deltas in one vector pass.
-  std::vector<double> sizes(n);
+  thread_local std::vector<double> sizes;
+  thread_local std::vector<double> iats;
+  sizes.resize(n);
   common::simd::u32ToF64(videoSizeBytes.data(), n, sizes.data());
   const double totalBytes = common::simd::sumF64(sizes.data(), n);
-  std::vector<double> iats(n > 1 ? n - 1 : 0);
+  iats.resize(n > 1 ? n - 1 : 0);
   common::simd::iatMillisF64(videoArrivalNs.data(), n, iats.data());
 
-  std::vector<double> out;
-  out.reserve(12);
   out.push_back(totalBytes / seconds);
   out.push_back(static_cast<double>(n) / seconds);
   appendFive(out, common::fiveNumber(sizes));
   appendFive(out, common::fiveNumber(iats));
+}
+
+/// Number of distinct values, counted as the runs of one sorted copy held
+/// in reused thread-local scratch.
+std::size_t distinctCount(std::span<const std::uint32_t> values) {
+  thread_local std::vector<std::uint32_t> sorted;
+  sorted.assign(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t distinct = sorted.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    distinct += sorted[i] != sorted[i - 1] ? 1u : 0u;
+  }
+  return distinct;
+}
+
+/// Appends the two VCA-semantic features.
+void appendSemanticFeatures(std::vector<double>& out,
+                            std::span<const common::TimeNs> videoArrivalNs,
+                            std::span<const std::uint32_t> videoSizeBytes,
+                            const ExtractionParams& params) {
+  const std::size_t n = videoSizeBytes.size();
+  std::size_t burstBoundaries = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (videoArrivalNs[i] - videoArrivalNs[i - 1] >= params.microburstIatNs) {
+      ++burstBoundaries;
+    }
+  }
+  // Microburst count: bursts are separated by gaps >= θ_IAT, so the number
+  // of bursts is boundaries + 1 for a non-empty window.
+  const double microbursts =
+      n == 0 ? 0.0 : static_cast<double>(burstBoundaries + 1);
+  out.push_back(static_cast<double>(distinctCount(videoSizeBytes)));
+  out.push_back(microbursts);
+}
+
+}  // namespace
+
+std::vector<double> flowStatistics(
+    std::span<const common::TimeNs> videoArrivalNs,
+    std::span<const std::uint32_t> videoSizeBytes,
+    common::DurationNs windowNs) {
+  std::vector<double> out;
+  out.reserve(12);
+  appendFlowStatistics(out, videoArrivalNs, videoSizeBytes, windowNs);
   return out;
 }
 
@@ -73,22 +116,10 @@ std::vector<double> semanticFeatures(
     std::span<const common::TimeNs> videoArrivalNs,
     std::span<const std::uint32_t> videoSizeBytes,
     const ExtractionParams& params) {
-  const std::size_t n = videoSizeBytes.size();
-  std::unordered_set<std::uint32_t> uniqueSizes;
-  uniqueSizes.reserve(n);
-  std::size_t burstBoundaries = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    uniqueSizes.insert(videoSizeBytes[i]);
-    if (i > 0 && videoArrivalNs[i] - videoArrivalNs[i - 1] >=
-                     params.microburstIatNs) {
-      ++burstBoundaries;
-    }
-  }
-  // Microburst count: bursts are separated by gaps >= θ_IAT, so the number
-  // of bursts is boundaries + 1 for a non-empty window.
-  const double microbursts =
-      n == 0 ? 0.0 : static_cast<double>(burstBoundaries + 1);
-  return {static_cast<double>(uniqueSizes.size()), microbursts};
+  std::vector<double> out;
+  out.reserve(2);
+  appendSemanticFeatures(out, videoArrivalNs, videoSizeBytes, params);
+  return out;
 }
 
 std::vector<double> semanticFeatures(std::span<const netflow::Packet> video,
@@ -97,8 +128,11 @@ std::vector<double> semanticFeatures(std::span<const netflow::Packet> video,
   return semanticFeatures(columns.arrivalNs, columns.sizeBytes, params);
 }
 
-std::vector<double> rtpFeatures(const WindowColumns& window,
-                                const ExtractionParams& params) {
+namespace {
+
+/// Appends the 12 RTP-derived features.
+void appendRtpFeatures(std::vector<double>& out, const WindowColumns& window,
+                       const ExtractionParams& params) {
   std::set<std::uint32_t> videoTs;
   std::set<std::uint32_t> rtxTs;
   double markerVideo = 0.0;
@@ -152,8 +186,6 @@ std::vector<double> rtpFeatures(const WindowColumns& window,
     }
   }
 
-  std::vector<double> out;
-  out.reserve(12);
   out.push_back(static_cast<double>(videoTs.size()));
   out.push_back(static_cast<double>(rtxTs.size()));
   out.push_back(static_cast<double>(intersection));
@@ -162,6 +194,15 @@ std::vector<double> rtpFeatures(const WindowColumns& window,
   out.push_back(markerRtx);
   out.push_back(outOfOrder);
   appendFive(out, common::fiveNumber(lagsMs));
+}
+
+}  // namespace
+
+std::vector<double> rtpFeatures(const WindowColumns& window,
+                                const ExtractionParams& params) {
+  std::vector<double> out;
+  out.reserve(12);
+  appendRtpFeatures(out, window, params);
   return out;
 }
 
@@ -176,13 +217,15 @@ std::vector<double> extractFeatures(const WindowColumns& window,
                                     common::DurationNs durationNs,
                                     FeatureSet set,
                                     const ExtractionParams& params) {
-  std::vector<double> out =
-      flowStatistics(video.arrivalNs, video.sizeBytes, durationNs);
-  const std::vector<double> extra =
-      set == FeatureSet::kIpUdp
-          ? semanticFeatures(video.arrivalNs, video.sizeBytes, params)
-          : rtpFeatures(window, params);
-  out.insert(out.end(), extra.begin(), extra.end());
+  // The output row is the one allocation: every part appends into it.
+  std::vector<double> out;
+  out.reserve(featureCount(set));
+  appendFlowStatistics(out, video.arrivalNs, video.sizeBytes, durationNs);
+  if (set == FeatureSet::kIpUdp) {
+    appendSemanticFeatures(out, video.arrivalNs, video.sizeBytes, params);
+  } else {
+    appendRtpFeatures(out, window, params);
+  }
   return out;
 }
 

@@ -71,7 +71,10 @@ std::vector<double> rtpFeatures(const Window& window,
 ///  kRtp:   flowStatistics(video) + rtpFeatures(window)            (24)
 /// `video` must hold the window's video-classified packet columns. `window`
 /// (all packets, heads captured) is consulted only for kRtp — the IP/UDP
-/// path may pass an empty record and no payload byte is ever read.
+/// path may pass an empty record and no payload byte is ever read. On the
+/// IP/UDP path the returned row is the only allocation: every statistic's
+/// scratch (widened sizes, gaps, the median's selection copy, the sorted
+/// sizes) is reused thread-local storage.
 std::vector<double> extractFeatures(const WindowColumns& window,
                                     const WindowColumns& video,
                                     common::DurationNs durationNs,

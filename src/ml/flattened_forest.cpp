@@ -64,31 +64,46 @@ double evalTreeImpl(std::int32_t ref, FeatureRow x, const Feat* feature,
   return leafValue[leafIndex(ref)];
 }
 
-/// Rows advanced together through one tree, one level per round.
-constexpr std::size_t kRowBlock = 8;
+/// Lanes advanced together, one tree level per round.
+constexpr std::size_t kLanes = 8;
 
-/// Evaluates one tree for up to kRowBlock rows in lockstep: every active
-/// row takes one `step` per round, so their data-dependent arena/feature
-/// loads are all in flight at once instead of serialized down one row's
-/// path. Each row still walks exactly the path `evalTreeImpl` would.
+/// Evaluates up to kLanes (root, row) lanes in lockstep — lane j walks the
+/// tree at `roots[j * rootStride]` for the row `rows[j * rowStride]`, so
+/// `predict` runs 8 trees over one row (row stride 0) and `predictBatch` one
+/// tree over 8 rows (root stride 0) through the same kernel. Every live lane
+/// takes one `step` per round, so their data-dependent arena/feature loads
+/// are all in flight at once instead of serialized down one path. A lane
+/// that reached its leaf keeps re-reading node 0 and discards the result
+/// (branch-free; node 0 exists whenever any lane is still internal). Each
+/// lane still walks exactly the path `evalTreeImpl` would, and
+/// `leafOut[j]` receives lane j's leaf value.
 template <typename Feat, typename Thresh>
-void evalTreeBlock(std::int32_t root, const FeatureRow* rows, std::size_t m,
-                   const Feat* feature, const Thresh* threshold,
-                   const std::int32_t* children, const double* leafValue,
-                   double* treeVal) {
-  std::int32_t ref[kRowBlock];
-  for (std::size_t j = 0; j < m; ++j) ref[j] = root;
-  std::size_t active = root >= 0 ? m : 0;
-  while (active > 0) {
-    active = 0;
-    for (std::size_t j = 0; j < m; ++j) {
+void evalLanes(const std::int32_t* roots, std::size_t rootStride,
+               const FeatureRow* rows, std::size_t rowStride, std::size_t m,
+               const Feat* feature, const Thresh* threshold,
+               const std::int32_t* children, const double* leafValue,
+               double* leafOut) {
+  // Unused lanes hold a leaf and lane 0's row, so every round runs a fixed
+  // kLanes steps the compiler can unroll.
+  std::int32_t ref[kLanes];
+  const FeatureRow* row[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    ref[j] = j < m ? roots[j * rootStride] : -1;
+    row[j] = j < m ? &rows[j * rowStride] : rows;
+  }
+  for (;;) {
+    // The sign bit of the AND is set iff every lane holds a leaf.
+    std::int32_t all = -1;
+    for (std::size_t j = 0; j < kLanes; ++j) all &= ref[j];
+    if (all < 0) break;
+    for (std::size_t j = 0; j < kLanes; ++j) {
       const std::int32_t r = ref[j];
-      if (r < 0) continue;
-      ref[j] = step(r, rows[j], feature, threshold, children);
-      active += ref[j] >= 0 ? 1u : 0u;
+      const std::int32_t next = step(std::max(r, std::int32_t{0}), *row[j],
+                                     feature, threshold, children);
+      ref[j] = r < 0 ? r : next;
     }
   }
-  for (std::size_t j = 0; j < m; ++j) treeVal[j] = leafValue[leafIndex(ref[j])];
+  for (std::size_t j = 0; j < m; ++j) leafOut[j] = leafValue[leafIndex(ref[j])];
 }
 
 }  // namespace
@@ -242,6 +257,20 @@ double FlattenedForest::evalTree(std::int32_t ref, FeatureRow x) const {
                       children_.data(), leafValue_.data());
 }
 
+void FlattenedForest::walkLanes(const std::int32_t* roots,
+                                std::size_t rootStride, const FeatureRow* rows,
+                                std::size_t rowStride, std::size_t m,
+                                double* leafOut) const {
+  if (quantized()) {
+    evalLanes(roots, rootStride, rows, rowStride, m, featureI16_.data(),
+              thresholdF32_.data(), children_.data(), leafValue_.data(),
+              leafOut);
+  } else {
+    evalLanes(roots, rootStride, rows, rowStride, m, feature_.data(),
+              threshold_.data(), children_.data(), leafValue_.data(), leafOut);
+  }
+}
+
 double FlattenedForest::predict(FeatureRow x) const {
   if (roots_.empty()) {
     throw std::logic_error("FlattenedForest::predict before flatten");
@@ -249,15 +278,28 @@ double FlattenedForest::predict(FeatureRow x) const {
   if (x.size() < featureCount_) {
     throw std::invalid_argument("FlattenedForest::predict: short feature row");
   }
+  // Trees in lockstep, kLanes at a time over the one row; each block's leaf
+  // values are consumed in tree order, so the regression sum and the vote
+  // sequence are exactly those of a tree-by-tree walk.
+  const std::size_t trees = roots_.size();
+  double leaf[kLanes] = {};
   if (task_ == TreeTask::kRegression) {
     double sum = 0.0;
-    for (const auto root : roots_) sum += evalTree(root, x);
-    return sum / static_cast<double>(roots_.size());
+    for (std::size_t t0 = 0; t0 < trees; t0 += kLanes) {
+      const std::size_t m = std::min(kLanes, trees - t0);
+      walkLanes(roots_.data() + t0, 1, &x, 0, m, leaf);
+      for (std::size_t j = 0; j < m; ++j) sum += leaf[j];
+    }
+    return sum / static_cast<double>(trees);
   }
   thread_local std::vector<int> votes;
   votes.clear();
-  for (const auto root : roots_) {
-    votes.push_back(static_cast<int>(evalTree(root, x)));
+  for (std::size_t t0 = 0; t0 < trees; t0 += kLanes) {
+    const std::size_t m = std::min(kLanes, trees - t0);
+    walkLanes(roots_.data() + t0, 1, &x, 0, m, leaf);
+    for (std::size_t j = 0; j < m; ++j) {
+      votes.push_back(static_cast<int>(leaf[j]));
+    }
   }
   return static_cast<double>(majorityClass(votes));
 }
@@ -292,19 +334,7 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
   // it, row r's contribution is added in tree order, so the accumulated
   // regression mean (and the vote sequence below) is bit-identical to the
   // single-row path.
-  double treeVal[kRowBlock];
-  const auto evalBlock = [&](std::int32_t root, std::size_t r0,
-                             std::size_t m) {
-    if (quantized()) {
-      evalTreeBlock(root, rows.data() + r0, m, featureI16_.data(),
-                    thresholdF32_.data(), children_.data(), leafValue_.data(),
-                    treeVal);
-    } else {
-      evalTreeBlock(root, rows.data() + r0, m, feature_.data(),
-                    threshold_.data(), children_.data(), leafValue_.data(),
-                    treeVal);
-    }
-  };
+  double treeVal[kLanes];
 
   if (task_ == TreeTask::kRegression) {
     // Tree-major: one tree's arena segment stays hot across the whole batch.
@@ -314,9 +344,9 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
         for (std::size_t r = 0; r < n; ++r) out[r] += evalTree(root, rows[r]);
         continue;
       }
-      for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
-        const std::size_t m = std::min(kRowBlock, n - r0);
-        evalBlock(root, r0, m);
+      for (std::size_t r0 = 0; r0 < n; r0 += kLanes) {
+        const std::size_t m = std::min(kLanes, n - r0);
+        walkLanes(&root, 0, rows.data() + r0, 1, m, treeVal);
         for (std::size_t j = 0; j < m; ++j) out[r0 + j] += treeVal[j];
       }
     }
@@ -337,9 +367,9 @@ void FlattenedForest::predictBatch(std::span<const FeatureRow> rows,
       }
       continue;
     }
-    for (std::size_t r0 = 0; r0 < n; r0 += kRowBlock) {
-      const std::size_t m = std::min(kRowBlock, n - r0);
-      evalBlock(roots_[t], r0, m);
+    for (std::size_t r0 = 0; r0 < n; r0 += kLanes) {
+      const std::size_t m = std::min(kLanes, n - r0);
+      walkLanes(&roots_[t], 0, rows.data() + r0, 1, m, treeVal);
       for (std::size_t j = 0; j < m; ++j) {
         treeOut[t * n + r0 + j] = static_cast<int>(treeVal[j]);
       }

@@ -32,11 +32,13 @@
 /// root that is itself a leaf).
 ///
 /// `predict` is bit-exact with `RandomForest::predict` (tested property):
-/// trees are evaluated in the same order, the regression mean accumulates in
-/// the same order, and classification ties break toward the smallest class
-/// id exactly as the node-tree form does. `predictBatch` evaluates
-/// tree-major — one tree's arena segment stays hot across the whole batch —
-/// which is where the cross-flow batched inference pipeline gets its win.
+/// it walks 8 trees in lockstep over the row, so their dependent node loads
+/// overlap, but consumes the leaf values in tree order — the regression mean
+/// accumulates in the same order, and classification ties break toward the
+/// smallest class id exactly as the node-tree form does. `predictBatch`
+/// evaluates tree-major through the same lockstep kernel, 8 rows per tree —
+/// one tree's arena segment stays hot across the whole batch — which is
+/// where the cross-flow batched inference pipeline gets its win.
 namespace vcaqoe::ml {
 
 /// One feature vector, borrowed from the caller for the duration of a call.
@@ -132,6 +134,12 @@ class FlattenedForest {
 
  private:
   double evalTree(std::int32_t ref, FeatureRow x) const;
+  /// Lockstep walk of up to 8 (root, row) lanes: lane j evaluates the tree
+  /// at `roots[j * rootStride]` on `rows[j * rowStride]` and writes its leaf
+  /// value to `leafOut[j]`.
+  void walkLanes(const std::int32_t* roots, std::size_t rootStride,
+                 const FeatureRow* rows, std::size_t rowStride, std::size_t m,
+                 double* leafOut) const;
   void reorderBreadthBlocks();
   void quantizeThresholdArrays();
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -99,6 +100,67 @@ TEST(Stats, FiveNumberMatchesPieces) {
   EXPECT_DOUBLE_EQ(f.min, 1.0);
   EXPECT_DOUBLE_EQ(f.max, 9.0);
   EXPECT_NEAR(f.stdev, sampleStdev(xs), 1e-12);
+}
+
+/// Bit pattern of a double: median must match the sorting reference
+/// exactly, not merely to a tolerance.
+std::uint64_t bitsOf(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(Stats, MedianSelectionBitExactVsSortingPercentile) {
+  // median selects (nth_element + min above it); percentile(xs, 50.0)
+  // sorts. Same order statistics, same interpolation expression, so the
+  // same bits: n = 0, 1, 2, odd and even n, all-equal values, heavy ties,
+  // and values whose interpolation rounds.
+  std::vector<std::vector<double>> cases = {
+      {},
+      {7.25},
+      {3.0, 1.0},
+      {1.0, 3.0},
+      {0.1, 0.2},
+      {5.0, 1.0, 9.0},
+      {5.0, 1.0, 9.0, 3.0},
+      {4.0, 4.0, 4.0, 4.0, 4.0},
+      {4.0, 4.0, 4.0, 4.0},
+      {2.0, 1.0, 2.0, 1.0, 2.0, 1.0},
+      {1e300, -1e300, 1e-300, 0.0},
+      {-0.5, -0.25, -0.125},
+  };
+  Rng rng(91);
+  for (const std::size_t n : {2u, 3u, 17u, 64u, 65u, 1000u, 1001u}) {
+    std::vector<double> uniform;
+    std::vector<double> ties;
+    for (std::size_t i = 0; i < n; ++i) {
+      uniform.push_back(rng.uniform(-1000.0, 1000.0) / 3.0);
+      ties.push_back(static_cast<double>(rng.uniformInt(0, 4)) / 3.0);
+    }
+    cases.push_back(std::move(uniform));
+    cases.push_back(std::move(ties));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& xs = cases[c];
+    const std::vector<double> before = xs;
+    EXPECT_EQ(bitsOf(median(xs)), bitsOf(percentile(xs, 50.0)))
+        << "case " << c << " n " << xs.size();
+    EXPECT_EQ(bitsOf(fiveNumber(xs).median), bitsOf(percentile(xs, 50.0)))
+        << "case " << c;
+    EXPECT_EQ(xs, before) << "median must not reorder its input";
+  }
+}
+
+TEST(Stats, FiveNumberMomentsBitExactVsPieces) {
+  // fiveNumber computes the mean once and reuses it for the deviation.
+  Rng rng(92);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 8u, 131u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.uniform(0.0, 1500.0));
+    const FiveNumber f = fiveNumber(xs);
+    EXPECT_EQ(bitsOf(f.mean), bitsOf(mean(xs))) << "n " << n;
+    EXPECT_EQ(bitsOf(f.stdev), bitsOf(sampleStdev(xs))) << "n " << n;
+  }
 }
 
 TEST(Stats, FiveNumberEmpty) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "common/stats.hpp"
 #include "features/extractors.hpp"
@@ -166,6 +167,41 @@ TEST(Semantic, UniqueSizesCounted) {
   const auto s = semanticFeatures(video, params);
   ASSERT_EQ(s.size(), 2u);
   EXPECT_DOUBLE_EQ(s[0], 3.0);
+}
+
+TEST(Semantic, UniqueSizesMatchSetCount) {
+  // The unique-size feature (runs of a sorted copy) against a std::set
+  // count: empty, one, two (equal and distinct), all-equal, tie-heavy
+  // packet sizes (a few MTU-sized values repeated, as a video frame's
+  // packets are), and sizes at the uint32 extremes.
+  std::vector<std::vector<std::uint32_t>> cases = {
+      {},
+      {1200},
+      {1200, 1200},
+      {1200, 1199},
+      std::vector<std::uint32_t>(257, 1188),
+      {0, 4294967295u, 0, 4294967295u, 65535, 65536},
+  };
+  std::uint32_t state = 7;
+  for (const std::size_t n : {3u, 130u, 131u, 1024u}) {
+    std::vector<std::uint32_t> tieHeavy;
+    std::vector<std::uint32_t> spread;
+    for (std::size_t i = 0; i < n; ++i) {
+      state = state * 1664525u + 1013904223u;
+      tieHeavy.push_back(i % 5 == 4 ? 300 + (state >> 24) : 1188);
+      spread.push_back(state >> 8);
+    }
+    cases.push_back(std::move(tieHeavy));
+    cases.push_back(std::move(spread));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& sizes = cases[c];
+    const std::set<std::uint32_t> reference(sizes.begin(), sizes.end());
+    const std::vector<common::TimeNs> arrivals(sizes.size(), 0);
+    const auto semantic = semanticFeatures(arrivals, sizes, ExtractionParams{});
+    EXPECT_EQ(semantic[0], static_cast<double>(reference.size()))
+        << "case " << c;
+  }
 }
 
 TEST(Semantic, MicroburstsSplitOnIatThreshold) {

@@ -3,11 +3,13 @@
 // that back the §4.3 model comparison.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -251,54 +253,187 @@ TEST(Serialize, CorruptedFileFixtureFailsLoudly) {
 
 // ------------------------------------------------------- flattened forest
 
+// Tree counts on both sides of the 8-tree lockstep lane block: a single
+// tree, a partial block, exactly one block, one block plus one, two blocks
+// plus one, and the engine's 40.
+constexpr int kLaneBoundaryTreeCounts[] = {1, 7, 8, 9, 17, 40};
+
+/// predict, predictBatch (both traversals) and the node-tree form must
+/// agree to the last bit on every row.
+void expectBitExact(const RandomForest& forest, const FlattenedForest& flat,
+                    const std::vector<std::vector<double>>& rows,
+                    const std::string& label) {
+  const std::vector<FeatureRow> views(rows.begin(), rows.end());
+  std::vector<double> blocked(rows.size());
+  std::vector<double> rowWise(rows.size());
+  flat.predictBatch(views, blocked);
+  flat.predictBatch(views, rowWise,
+                    FlattenedForest::BatchTraversal::kRowWise);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double reference = forest.predict(rows[i]);
+    EXPECT_EQ(flat.predict(rows[i]), reference) << label << " row " << i;
+    EXPECT_EQ(blocked[i], reference) << label << " row " << i;
+    EXPECT_EQ(rowWise[i], reference) << label << " row " << i;
+  }
+}
+
+std::vector<std::vector<double>> linearRows(int n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0),
+                    rng.uniform(0.0, 1.0)});
+  }
+  return rows;
+}
+
 TEST(FlattenedForest, BitExactOnTrainedRegressionForests) {
   // Property over random forests and random rows: the SoA arena must agree
-  // with the node-tree form to the last bit, scalar and batched.
-  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+  // with the node-tree form to the last bit, scalar and batched, at every
+  // tree count around the lockstep lane block.
+  for (const int trees : kLaneBoundaryTreeCounts) {
+    const auto seed = static_cast<std::uint64_t>(31 + trees);
     const Dataset d = linearDataset(350, seed);
     RandomForest forest;
     ForestOptions options;
-    options.numTrees = static_cast<int>(3 + seed % 9);
+    options.numTrees = trees;
     forest.fit(d, TreeTask::kRegression, options, seed * 7);
     const FlattenedForest flat(forest);
     EXPECT_TRUE(flat.trained());
     EXPECT_EQ(flat.treeCount(), forest.treeCount());
-
-    common::Rng rng(seed + 100);
-    std::vector<std::vector<double>> rows;
-    for (int i = 0; i < 200; ++i) {
-      rows.push_back({rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0),
-                      rng.uniform(0.0, 1.0)});
-    }
-    std::vector<FeatureRow> views(rows.begin(), rows.end());
-    std::vector<double> batched(rows.size());
-    flat.predictBatch(views, batched);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const double reference = forest.predict(rows[i]);
-      EXPECT_EQ(flat.predict(rows[i]), reference) << "seed " << seed;
-      EXPECT_EQ(batched[i], reference) << "seed " << seed;
-    }
+    expectBitExact(forest, flat, linearRows(200, seed + 100),
+                   "trees " + std::to_string(trees));
   }
 }
 
 TEST(FlattenedForest, BitExactOnClassificationForests) {
-  const Dataset d = classDataset(400, 41);
-  RandomForest forest;
-  ForestOptions options;
-  options.numTrees = 11;
-  forest.fit(d, TreeTask::kClassification, options, 17);
-  const FlattenedForest flat(forest);
-  EXPECT_EQ(flat.task(), TreeTask::kClassification);
-
   std::vector<std::vector<double>> rows;
   for (double x = 0.005; x < 1.0; x += 0.01) rows.push_back({x});
-  std::vector<FeatureRow> views(rows.begin(), rows.end());
-  std::vector<double> batched(rows.size());
-  flat.predictBatch(views, batched);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double reference = forest.predict(rows[i]);
-    EXPECT_EQ(flat.predict(rows[i]), reference);
-    EXPECT_EQ(batched[i], reference);
+  for (const int trees : kLaneBoundaryTreeCounts) {
+    const Dataset d = classDataset(400, 41 + static_cast<std::uint64_t>(trees));
+    RandomForest forest;
+    ForestOptions options;
+    options.numTrees = trees;
+    forest.fit(d, TreeTask::kClassification, options, 17);
+    const FlattenedForest flat(forest);
+    EXPECT_EQ(flat.task(), TreeTask::kClassification);
+    expectBitExact(forest, flat, rows, "trees " + std::to_string(trees));
+  }
+}
+
+/// A depth-0 tree: the root is itself a leaf.
+DecisionTree leafTree(double value, TreeTask task) {
+  DecisionTree::Node leaf;
+  leaf.value = value;
+  return DecisionTree::fromNodes({leaf}, task, {0.0});
+}
+
+/// One split on feature 0 at `threshold` between two leaves.
+DecisionTree stumpTree(double threshold, double leftValue, double rightValue,
+                       TreeTask task) {
+  DecisionTree::Node root;
+  root.featureIndex = 0;
+  root.threshold = threshold;
+  root.left = 1;
+  root.right = 2;
+  DecisionTree::Node left;
+  left.value = leftValue;
+  DecisionTree::Node right;
+  right.value = rightValue;
+  return DecisionTree::fromNodes({root, left, right}, task, {1.0});
+}
+
+TEST(FlattenedForest, BitExactWithDepthZeroTreesAcrossLanes) {
+  // Root-is-leaf trees mixed into every lane position (first, last, past
+  // the block), and a forest of nothing but leaves (no internal node at
+  // all, so the lockstep walk never steps).
+  for (const int trees : kLaneBoundaryTreeCounts) {
+    std::vector<DecisionTree> mixed;
+    std::vector<DecisionTree> leavesOnly;
+    for (int t = 0; t < trees; ++t) {
+      const double value = 0.1 * t + 1.0 / 3.0;
+      if (t % 8 == 0 || t % 8 == 7 || t % 3 == 2) {
+        mixed.push_back(leafTree(value, TreeTask::kRegression));
+      } else {
+        mixed.push_back(stumpTree(0.25 * t - 2.0, value, -value,
+                                  TreeTask::kRegression));
+      }
+      leavesOnly.push_back(leafTree(value, TreeTask::kRegression));
+    }
+    const auto label = "trees " + std::to_string(trees);
+    const auto mixedForest = RandomForest::fromParts(
+        TreeTask::kRegression, {"x"}, std::move(mixed), {1.0});
+    const auto leafForest = RandomForest::fromParts(
+        TreeTask::kRegression, {"x"}, std::move(leavesOnly), {1.0});
+    std::vector<std::vector<double>> rows;
+    for (double x = -3.0; x <= 9.0; x += 0.125) rows.push_back({x});
+    expectBitExact(mixedForest, FlattenedForest(mixedForest), rows,
+                   "mixed " + label);
+    expectBitExact(leafForest, FlattenedForest(leafForest), rows,
+                   "leaves " + label);
+  }
+}
+
+TEST(FlattenedForest, ClassificationTiesStraddlingALaneBlockBreakLow) {
+  // Ten stumps: for x <= 0.5 trees 0-4 vote 3 and trees 5-9 vote 1, so the
+  // tied votes sit on both sides of the 8-tree block boundary (block 0
+  // holds 5 x 3 and 3 x 1, block 1 the other 2 x 1); above 0.5 the classes
+  // swap places. Ties go to the smallest class id either way. A 17-tree
+  // variant adds a leaf tree voting 2 so one tree past the second block
+  // decides between two tied 8-vote classes.
+  std::vector<DecisionTree> ten;
+  for (int t = 0; t < 10; ++t) {
+    ten.push_back(t < 5 ? stumpTree(0.5, 3.0, 1.0, TreeTask::kClassification)
+                        : stumpTree(0.5, 1.0, 3.0, TreeTask::kClassification));
+  }
+  const auto tenForest = RandomForest::fromParts(
+      TreeTask::kClassification, {"x"}, std::move(ten), {1.0});
+
+  std::vector<DecisionTree> seventeen;
+  for (int t = 0; t < 16; ++t) {
+    seventeen.push_back(
+        t % 2 == 0 ? stumpTree(0.5, 4.0, 2.0, TreeTask::kClassification)
+                   : stumpTree(0.5, 2.0, 4.0, TreeTask::kClassification));
+  }
+  seventeen.push_back(leafTree(4.0, TreeTask::kClassification));
+  const auto seventeenForest = RandomForest::fromParts(
+      TreeTask::kClassification, {"x"}, std::move(seventeen), {1.0});
+
+  const std::vector<std::vector<double>> rows = {{0.0}, {0.5}, {0.75}};
+  expectBitExact(tenForest, FlattenedForest(tenForest), rows, "ten");
+  expectBitExact(seventeenForest, FlattenedForest(seventeenForest), rows,
+                 "seventeen");
+  const FlattenedForest flatTen(tenForest);
+  EXPECT_EQ(flatTen.predict(std::vector<double>{0.0}), 1.0);
+  EXPECT_EQ(flatTen.predict(std::vector<double>{0.75}), 1.0);
+  const FlattenedForest flatSeventeen(seventeenForest);
+  EXPECT_EQ(flatSeventeen.predict(std::vector<double>{0.0}), 4.0);
+}
+
+TEST(FlattenedForest, QuantizedLayoutBitExactAtLaneBoundaries) {
+  // Features on a 1/8 grid put every split threshold (a midpoint) on a
+  // 1/16 grid, which float32 holds exactly, so the quantized arena must
+  // match the node-tree form bit for bit — with and without the breadth
+  // block reorder, through the same lockstep kernel.
+  for (const int trees : kLaneBoundaryTreeCounts) {
+    const auto seed = static_cast<std::uint64_t>(61 + trees);
+    Dataset d = linearDataset(300, seed);
+    for (auto& row : d.x) {
+      for (auto& v : row) v = std::round(v * 8.0) / 8.0;
+    }
+    RandomForest forest;
+    ForestOptions options;
+    options.numTrees = trees;
+    forest.fit(d, TreeTask::kRegression, options, seed);
+    for (const bool reorder : {false, true}) {
+      FlattenedForest flat(forest);
+      flat.applyLayout(
+          {.quantizeThresholds = true, .breadthBlockOrder = reorder});
+      ASSERT_TRUE(flat.quantized());
+      expectBitExact(forest, flat, linearRows(150, seed + 1),
+                     "quantized trees " + std::to_string(trees) +
+                         (reorder ? " reordered" : ""));
+    }
   }
 }
 
