@@ -12,8 +12,12 @@
 #include <benchmark/benchmark.h>
 #endif
 
+#include <array>
 #include <deque>
+#include <map>
 #include <random>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -362,65 +366,125 @@ void BM_WindowRecordPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowRecordPipeline);
 
-// --- Per-window inference as the engine pays it: one feature row through
-// a VCA's four target forests (frame rate, bitrate, jitter, resolution),
-// flattened as ForestBackend holds them. The forests are trained the way
-// perfbench trains its models — 40 trees each over several lab calls — and
-// the rows are those calls' own IP/UDP feature windows, so tree depths and
-// paths follow the distribution the engine sees.
-void BM_ForestInference(benchmark::State& state) {
-  struct Setup {
-    std::vector<ml::FlattenedForest> forests;
-    std::vector<std::vector<double>> rows;
-  };
-  static const Setup setup = [] {
-    datasets::LabDatasetOptions calls;
-    calls.callsPerVca = 4;
-    calls.seed = 0x7EA1CA11ULL;
+// --- Forests as perfbench trains them: per VCA, one 40-tree forest per
+// target (frame rate, bitrate, jitter, resolution) over that VCA's lab
+// calls' IP/UDP windows, lab seed 0x7EA1CA11, forest seeds 0xF0E57 + target.
+
+constexpr std::array<rxstats::Metric, 4> kTargetMetrics = {
+    rxstats::Metric::kFrameRate, rxstats::Metric::kBitrate,
+    rxstats::Metric::kFrameJitter, rxstats::Metric::kResolution};
+constexpr std::array<const char*, 3> kVcas = {"meet", "teams", "webex"};
+
+/// `vca`'s four target datasets over `callsPerVca` lab calls per VCA
+/// (simulated once per call count; benchmarks re-enter their set-up).
+const std::array<ml::Dataset, 4>& labTargetDatasets(const std::string& vca,
+                                                    int callsPerVca) {
+  static std::map<std::pair<std::string, int>, std::array<ml::Dataset, 4>>
+      cache;
+  const auto key = std::make_pair(vca, callsPerVca);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  datasets::LabDatasetOptions calls;
+  calls.callsPerVca = callsPerVca;
+  calls.seed = 0x7EA1CA11ULL;
+  const auto sessions = datasets::generateLabDataset(calls);
+  for (const char* each : kVcas) {
     const auto records = datasets::recordsForSessions(
-        datasets::sessionsForVca(datasets::generateLabDataset(calls), "teams"));
-    ml::ForestOptions options;
-    options.numTrees = 40;
-    Setup s;
-    std::uint64_t seed = 0xF0E57ULL;
-    for (const auto metric :
-         {rxstats::Metric::kFrameRate, rxstats::Metric::kBitrate,
-          rxstats::Metric::kFrameJitter, rxstats::Metric::kResolution}) {
-      const auto data =
-          core::buildMlDataset(records, features::FeatureSet::kIpUdp, metric,
-                               core::resolutionCodecFor("teams"));
-      ml::RandomForest forest;
-      forest.fit(data, core::taskFor(metric), options, seed++);
-      s.forests.emplace_back(forest);
-      if (s.rows.empty()) s.rows = data.x;
+        datasets::sessionsForVca(sessions, each));
+    auto& out = cache[std::make_pair(std::string(each), callsPerVca)];
+    for (std::size_t t = 0; t < kTargetMetrics.size(); ++t) {
+      out[t] = core::buildMlDataset(records, features::FeatureSet::kIpUdp,
+                                    kTargetMetrics[t],
+                                    core::resolutionCodecFor(each));
     }
-    return s;
-  }();
+  }
+  return cache.at(key);
+}
+
+/// A VCA's four forests, flattened as ForestBackend holds them, plus the
+/// VCA's own feature rows (so tree paths follow what the engine sees).
+struct VcaForests {
+  std::vector<ml::FlattenedForest> forests;
+  std::vector<std::vector<double>> rows;
+};
+
+VcaForests trainVcaForests(const char* vca, int callsPerVca) {
+  const auto& data = labTargetDatasets(vca, callsPerVca);
+  ml::ForestOptions options;
+  options.numTrees = 40;
+  VcaForests out;
+  for (std::size_t t = 0; t < data.size(); ++t) {
+    ml::RandomForest forest;
+    forest.fit(data[t], core::taskFor(kTargetMetrics[t]), options,
+               0xF0E57ULL + t);
+    out.forests.emplace_back(forest);
+  }
+  out.rows = data[0].x;
+  return out;
+}
+
+/// One window (item): a row through its VCA's four forests. VCAs take
+/// turns over `vcas`, as on a worker serving calls of several VCAs.
+void runForestInference(benchmark::State& state,
+                        std::span<const VcaForests> vcas) {
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto& row = setup.rows[i % setup.rows.size()];
-    for (const auto& forest : setup.forests) {
+    const auto& vca = vcas[i % vcas.size()];
+    const auto& row = vca.rows[(i / vcas.size()) % vca.rows.size()];
+    for (const auto& forest : vca.forests) {
       benchmark::DoNotOptimize(forest.predict(row));
     }
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+// Per-window inference as the engine pays it, on forests trained over 4
+// Teams lab calls: one VCA's forests, hot in cache.
+void BM_ForestInference(benchmark::State& state) {
+  static const VcaForests setup = trainVcaForests("teams", 4);
+  runForestInference(state, {&setup, 1});
+}
 BENCHMARK(BM_ForestInference);
 
-void BM_ForestTraining(benchmark::State& state) {
-  const auto records = core::buildWindowRecords(sampleSession());
-  const auto data = core::buildMlDataset(
-      records, features::FeatureSet::kIpUdp, rxstats::Metric::kFrameRate);
-  ml::ForestOptions options;
-  options.numTrees = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    ml::RandomForest forest;
-    forest.fit(data, ml::TreeTask::kRegression, options, 7);
-    benchmark::DoNotOptimize(forest);
-  }
+// The same on perfbench's own 12 forests (10 calls per VCA). Arg 1: Teams'
+// four only; Arg 3: the three VCAs' windows in turn, so all 12 forests are
+// walked every three windows. 3 vs 1 prices the forests' cache footprint;
+// 1 vs BM_ForestInference prices their larger trees.
+void BM_PerfbenchForestInference(benchmark::State& state) {
+  static const std::array<VcaForests, 3> setup = {
+      trainVcaForests("teams", 10), trainVcaForests("meet", 10),
+      trainVcaForests("webex", 10)};
+  runForestInference(
+      state, std::span<const VcaForests>(setup).first(
+                 static_cast<std::size_t>(state.range(0))));
 }
-BENCHMARK(BM_ForestTraining)->Arg(10)->Arg(40);
+BENCHMARK(BM_PerfbenchForestInference)->Arg(1)->Arg(3);
+
+// Training, one thread: the four 40-tree target forests over perfbench's
+// training set (10 lab calls per VCA) — Arg 1: the Teams rows; Arg 3: all
+// three VCAs' rows appended (~3x the rows).
+void BM_ForestTraining(benchmark::State& state) {
+  std::array<ml::Dataset, 4> data = labTargetDatasets("teams", 10);
+  if (state.range(0) == 3) {
+    for (const char* vca : {"meet", "webex"}) {
+      const auto& more = labTargetDatasets(vca, 10);
+      for (std::size_t t = 0; t < data.size(); ++t) data[t].append(more[t]);
+    }
+  }
+  ml::ForestOptions options;
+  options.numTrees = 40;
+  options.threads = 1;
+  for (auto _ : state) {
+    for (std::size_t t = 0; t < data.size(); ++t) {
+      ml::RandomForest forest;
+      forest.fit(data[t], core::taskFor(kTargetMetrics[t]), options,
+                 0xF0E57ULL + t);
+      benchmark::DoNotOptimize(forest);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
+}
+BENCHMARK(BM_ForestTraining)->Arg(1)->Arg(3);
 
 void BM_LinkEmulator(benchmark::State& state) {
   netem::SecondCondition c;

@@ -1,5 +1,7 @@
 #include "ml/dataset.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -39,10 +41,19 @@ void Dataset::validate() const {
   if (x.size() != y.size()) {
     throw std::invalid_argument("Dataset: x/y row count mismatch");
   }
+  const std::size_t width = cols();
   for (const auto& row : x) {
-    if (row.size() != featureNames.size()) {
+    if (row.size() != width) {
       throw std::invalid_argument("Dataset: row width mismatch");
     }
+    if (!std::all_of(row.begin(), row.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      throw std::invalid_argument("Dataset: non-finite feature value");
+    }
+  }
+  if (!std::all_of(y.begin(), y.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument("Dataset: non-finite target");
   }
 }
 

@@ -28,8 +28,8 @@ struct Dataset {
   void append(const Dataset& other);
   /// Subset by row indices.
   Dataset subset(std::span<const std::size_t> indices) const;
-  /// Throws std::invalid_argument if any row width disagrees with
-  /// featureNames or x/y lengths differ.
+  /// Throws std::invalid_argument if x/y lengths differ, any row width
+  /// disagrees with cols(), or any feature or target is not finite.
   void validate() const;
 };
 

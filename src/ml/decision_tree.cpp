@@ -1,6 +1,7 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -10,25 +11,30 @@ namespace vcaqoe::ml {
 
 namespace {
 
-/// Class count bookkeeping for Gini computations.
+/// Class count bookkeeping for Gini computations. Counts are whole numbers,
+/// so the running sum of their squares is exact (below 2^53) and equals the
+/// per-class sum gini() would otherwise recompute over every class.
 struct GiniCounter {
   std::vector<double> counts;
   double total = 0.0;
+  double sumSq = 0.0;
 
   explicit GiniCounter(std::size_t numClasses) : counts(numClasses, 0.0) {}
 
-  void add(int cls, double w = 1.0) {
-    counts[static_cast<std::size_t>(cls)] += w;
-    total += w;
+  void add(int cls) {
+    double& c = counts[static_cast<std::size_t>(cls)];
+    sumSq += 2.0 * c + 1.0;  // (c + 1)^2 - c^2
+    c += 1.0;
+    total += 1.0;
   }
   void remove(int cls) {
-    counts[static_cast<std::size_t>(cls)] -= 1.0;
+    double& c = counts[static_cast<std::size_t>(cls)];
+    sumSq -= 2.0 * c - 1.0;  // c^2 - (c - 1)^2
+    c -= 1.0;
     total -= 1.0;
   }
   double gini() const {
     if (total <= 0.0) return 0.0;
-    double sumSq = 0.0;
-    for (const double c : counts) sumSq += c * c;
     return 1.0 - sumSq / (total * total);
   }
   int majority() const {
@@ -39,26 +45,129 @@ struct GiniCounter {
 
 }  // namespace
 
+RankTable::RankTable(const Dataset& data) : data_(data) {
+  if (data.rows() == 0) {
+    throw std::invalid_argument("RankTable: empty dataset");
+  }
+  data.validate();
+  const std::size_t n = data.rows();
+  const std::size_t p = data.cols();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("RankTable: too many rows");
+  }
+  rank_.resize(p * n);
+  sorted_.resize(p * n);
+
+  // Nodes need only the order of (value, target) pairs; the row index just
+  // makes the table itself deterministic (rows tying on both are
+  // interchangeable to every split statistic).
+  struct Entry {
+    double value;
+    double target;
+    std::uint32_t row;
+  };
+  std::vector<Entry> column(n);
+  for (std::size_t f = 0; f < p; ++f) {
+    for (std::size_t i = 0; i < n; ++i) {
+      column[i] = {data.x[i][f], data.y[i], static_cast<std::uint32_t>(i)};
+    }
+    std::sort(column.begin(), column.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.value != b.value) return a.value < b.value;
+                if (a.target != b.target) return a.target < b.target;
+                return a.row < b.row;
+              });
+    for (std::size_t r = 0; r < n; ++r) {
+      rank_[f * n + column[r].row] = static_cast<std::uint32_t>(r);
+      sorted_[f * n + r] = {column[r].value, column[r].target};
+    }
+  }
+}
+
+/// State of one tree's recursive build: the shared rank table, the sample
+/// rows (partitioned node by node), and scratch reused across nodes.
+struct DecisionTree::Builder {
+  const RankTable& ranks;
+  common::Rng& rng;
+  std::vector<std::size_t> idx;
+  /// Per rank: how many of the node's rows hold it (bootstrap duplicates).
+  std::vector<std::uint32_t> count;
+  /// One bit per rank, set while its count is non-zero.
+  std::vector<std::uint64_t> marked;
+  /// One candidate feature's (value, target) pairs of the node, sorted;
+  /// sized to the whole sample, the node uses its first n.
+  std::vector<std::pair<double, double>> pairs;
+  std::vector<std::size_t> candidates;
+
+  /// Returns feature `f`'s (value, target) of the rows in idx[begin, end)
+  /// in sorted order, by marking each row's rank and walking the marked
+  /// ranks upward. Leaves `count` and `marked` zeroed.
+  std::span<const std::pair<double, double>> orderNode(std::size_t f,
+                                                       std::size_t begin,
+                                                       std::size_t end) {
+    std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t hi = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t r = ranks.rank(f, idx[i]);
+      if (count[r] == 0) marked[r >> 6] |= std::uint64_t{1} << (r & 63);
+      ++count[r];
+      lo = std::min(lo, r);
+      hi = std::max(hi, r);
+    }
+    auto* out = pairs.data();
+    for (std::size_t w = lo >> 6; w <= (hi >> 6); ++w) {
+      std::uint64_t bits = marked[w];
+      marked[w] = 0;
+      while (bits != 0) {
+        const auto r = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        bits &= bits - 1;
+        const auto& pair = ranks.sorted(f, r);
+        for (std::uint32_t c = count[r]; c > 0; --c) *out++ = pair;
+        count[r] = 0;
+      }
+    }
+    return {pairs.data(), end - begin};
+  }
+};
+
 void DecisionTree::fit(const Dataset& data,
                        std::span<const std::size_t> sampleIdx, TreeTask task,
                        const TreeOptions& options, common::Rng& rng) {
   if (data.rows() == 0 || sampleIdx.empty()) {
     throw std::invalid_argument("DecisionTree::fit: empty training data");
   }
+  fit(RankTable(data), sampleIdx, task, options, rng);
+}
+
+void DecisionTree::fit(const RankTable& ranks,
+                       std::span<const std::size_t> sampleIdx, TreeTask task,
+                       const TreeOptions& options, common::Rng& rng) {
+  if (sampleIdx.empty()) {
+    throw std::invalid_argument("DecisionTree::fit: empty training data");
+  }
+  const std::size_t rows = ranks.rows();
+  if (std::any_of(sampleIdx.begin(), sampleIdx.end(),
+                  [rows](std::size_t row) { return row >= rows; })) {
+    throw std::invalid_argument("DecisionTree::fit: sample row out of range");
+  }
   task_ = task;
   options_ = options;
   nodes_.clear();
-  importance_.assign(data.cols(), 0.0);
+  importance_.assign(ranks.data().cols(), 0.0);
   totalSamples_ = sampleIdx.size();
 
-  std::vector<std::size_t> idx(sampleIdx.begin(), sampleIdx.end());
-  build(data, idx, 0, idx.size(), 0, rng);
+  Builder b{ranks, rng, {sampleIdx.begin(), sampleIdx.end()}, {}, {}, {}, {}};
+  b.count.assign(rows, 0);
+  b.marked.assign((rows + 63) / 64, 0);
+  b.pairs.resize(sampleIdx.size());
+  build(b, 0, b.idx.size(), 0);
 }
 
-std::int32_t DecisionTree::build(const Dataset& data,
-                                 std::vector<std::size_t>& idx,
-                                 std::size_t begin, std::size_t end, int depth,
-                                 common::Rng& rng) {
+std::int32_t DecisionTree::build(Builder& b, std::size_t begin,
+                                 std::size_t end, int depth) {
+  const Dataset& data = b.ranks.data();
+  std::vector<std::size_t>& idx = b.idx;
   const std::size_t n = end - begin;
   const std::size_t p = data.cols();
 
@@ -104,11 +213,12 @@ std::int32_t DecisionTree::build(const Dataset& data,
   }
 
   // Candidate features: a random subset of maxFeatures (all when 0).
-  std::vector<std::size_t> candidates(p);
+  std::vector<std::size_t>& candidates = b.candidates;
+  candidates.resize(p);
   std::iota(candidates.begin(), candidates.end(), 0);
   if (options_.maxFeatures > 0 &&
       static_cast<std::size_t>(options_.maxFeatures) < p) {
-    rng.shuffle(candidates);
+    b.rng.shuffle(candidates);
     candidates.resize(static_cast<std::size_t>(options_.maxFeatures));
   }
 
@@ -116,16 +226,9 @@ std::int32_t DecisionTree::build(const Dataset& data,
   std::size_t bestFeature = 0;
   double bestThreshold = 0.0;
 
-  // (value, y or class) pairs sorted per candidate feature.
-  std::vector<std::pair<double, double>> pairs;
-  pairs.reserve(n);
-
   for (const std::size_t f : candidates) {
-    pairs.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      pairs.emplace_back(data.x[idx[i]][f], data.y[idx[i]]);
-    }
-    std::sort(pairs.begin(), pairs.end());
+    // (value, y or class) pairs in sorted order.
+    const auto pairs = b.orderNode(f, begin, end);
     if (pairs.front().first == pairs.back().first) continue;  // constant
 
     const auto minLeaf = static_cast<std::size_t>(options_.minSamplesLeaf);
@@ -208,8 +311,8 @@ std::int32_t DecisionTree::build(const Dataset& data,
   nodes_[static_cast<std::size_t>(nodeIndex)].threshold = bestThreshold;
   nodes_[static_cast<std::size_t>(nodeIndex)].value = leafValue;
 
-  const std::int32_t left = build(data, idx, begin, split, depth + 1, rng);
-  const std::int32_t right = build(data, idx, split, end, depth + 1, rng);
+  const std::int32_t left = build(b, begin, split, depth + 1);
+  const std::int32_t right = build(b, split, end, depth + 1);
   nodes_[static_cast<std::size_t>(nodeIndex)].left = left;
   nodes_[static_cast<std::size_t>(nodeIndex)].right = right;
   return nodeIndex;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,11 +24,46 @@ struct TreeOptions {
   int maxFeatures = 0;
 };
 
+/// Every dataset row ordered by (feature value, target), once per feature:
+/// each row's rank, and the (value, target) pair at each rank. Built once
+/// per fit and shared read-only by every tree grown on the same dataset, so
+/// a node orders its rows by walking their ranks instead of sorting.
+/// Memory: cols x rows x 20 B. Holds a reference to `data`.
+class RankTable {
+ public:
+  /// Throws std::invalid_argument on an empty or invalid dataset
+  /// (Dataset::validate: ragged rows, non-finite values).
+  explicit RankTable(const Dataset& data);
+  explicit RankTable(Dataset&&) = delete;
+
+  const Dataset& data() const { return data_; }
+  std::size_t rows() const { return data_.rows(); }
+  /// Rank of `row` in feature `f`'s (value, target) order.
+  std::uint32_t rank(std::size_t f, std::size_t row) const {
+    return rank_[f * rows() + row];
+  }
+  /// (value, target) of feature `f` at rank `r`.
+  const std::pair<double, double>& sorted(std::size_t f,
+                                          std::uint32_t r) const {
+    return sorted_[f * rows() + r];
+  }
+
+ private:
+  const Dataset& data_;
+  std::vector<std::uint32_t> rank_;               // [f * rows + row]
+  std::vector<std::pair<double, double>> sorted_;  // [f * rows + rank]
+};
+
 class DecisionTree {
  public:
   /// Fits on the rows of `data` selected by `sampleIdx` (with repetition
-  /// allowed — bagging passes bootstrap samples).
+  /// allowed — bagging passes bootstrap samples). Throws
+  /// std::invalid_argument on empty or invalid data (Dataset::validate) or
+  /// a sample index out of range.
   void fit(const Dataset& data, std::span<const std::size_t> sampleIdx,
+           TreeTask task, const TreeOptions& options, common::Rng& rng);
+  /// As above, on the rows of `ranks.data()`, reusing a prebuilt table.
+  void fit(const RankTable& ranks, std::span<const std::size_t> sampleIdx,
            TreeTask task, const TreeOptions& options, common::Rng& rng);
 
   double predict(std::span<const double> x) const;
@@ -58,10 +94,9 @@ class DecisionTree {
                                 std::vector<double> importance);
 
  private:
-
-  std::int32_t build(const Dataset& data, std::vector<std::size_t>& idx,
-                     std::size_t begin, std::size_t end, int depth,
-                     common::Rng& rng);
+  struct Builder;
+  std::int32_t build(Builder& b, std::size_t begin, std::size_t end,
+                     int depth);
 
   TreeTask task_ = TreeTask::kRegression;
   TreeOptions options_;

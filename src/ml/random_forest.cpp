@@ -15,6 +15,8 @@ void RandomForest::fit(const Dataset& data, TreeTask task,
   if (data.rows() == 0) {
     throw std::invalid_argument("RandomForest::fit: empty dataset");
   }
+  // Validates the data, then orders each feature once for every tree.
+  const RankTable ranks(data);
   task_ = task;
   featureNames_ = data.featureNames;
 
@@ -53,8 +55,8 @@ void RandomForest::fit(const Dataset& data, TreeTask task,
         s = static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<std::int64_t>(data.rows()) - 1));
       }
-      trees_[static_cast<std::size_t>(t)].fit(data, sample, task, treeOptions,
-                                              rng);
+      trees_[static_cast<std::size_t>(t)].fit(ranks, sample, task,
+                                              treeOptions, rng);
     }
   };
 

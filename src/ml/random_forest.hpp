@@ -28,6 +28,8 @@ class RandomForest {
  public:
   RandomForest() = default;
 
+  /// Throws std::invalid_argument on an empty or invalid dataset
+  /// (Dataset::validate: ragged rows, non-finite values).
   void fit(const Dataset& data, TreeTask task, const ForestOptions& options,
            std::uint64_t seed);
 
