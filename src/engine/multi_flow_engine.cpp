@@ -57,6 +57,7 @@ MultiFlowEngine::MultiFlowEngine(EngineOptions options)
     workers = static_cast<int>(common::hardwareThreadsOr(1));
   }
   if (options_.dispatchBatch == 0) options_.dispatchBatch = 1;
+  trackLru_ = options_.idleTimeoutNs > 0 || options_.migrateFlows;
   if (options_.expectedFlows > 0) flowTable_.reserve(options_.expectedFlows);
 
   shards_.reserve(static_cast<std::size_t>(workers));
@@ -64,7 +65,11 @@ MultiFlowEngine::MultiFlowEngine(EngineOptions options)
     auto shard = std::make_unique<Shard>();
     shard->results =
         std::make_unique<SpscRing<EngineResult>>(options_.resultRingCapacity);
-    shard->pending.reserve(options_.dispatchBatch);
+    shard->pending.items.reserve(options_.dispatchBatch);
+    {
+      common::MutexLock lock(shard->mutex);
+      shard->freeBatches.reserve(kMaxRecycledBatches);
+    }
     // No registry means no backend can ever resolve: routing windows
     // through the batcher would add copy/latency for zero predictions.
     if (options_.inferenceBatch > 1 && options_.registry) {
@@ -116,8 +121,7 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
     flow = flowTable_.intern(key);
     demuxCache_.remember(key, flow);
   }
-  core::StreamingEstimator::BackendPtr admissionBackend;
-  features::FeatureSet admissionSet = options_.streaming.featureSet;
+  Control admission;
   const bool admitted = flow >= flowStats_.size();
   if (admitted) {
     // First packet of a fresh flow generation: resolve the flow's feature
@@ -127,19 +131,21 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
     FlowStats stats;
     stats.key = key;
     stats.firstArrivalNs = packet.arrivalNs;
-    if (options_.featureSetResolver) {
-      admissionSet = options_.featureSetResolver(key);
-    }
-    stats.featureSet = admissionSet;
-    admissionBackend = resolveBackend(key, stats, admissionSet);
+    admission.featureSet = options_.featureSetResolver
+                               ? options_.featureSetResolver(key)
+                               : options_.streaming.featureSet;
+    stats.featureSet = admission.featureSet;
+    admission.backend = resolveBackend(key, stats, admission.featureSet);
     flowStats_.push_back(std::move(stats));
-    lruPrev_.push_back(kNoFlow);
-    lruNext_.push_back(kNoFlow);
-    lruLinkTail(flow);
+    if (trackLru_) {
+      lruPrev_.push_back(kNoFlow);
+      lruNext_.push_back(kNoFlow);
+      lruLinkTail(flow);
+    }
     const std::size_t placed = placeNewFlow(flow);
     shardOf_.push_back(static_cast<std::uint32_t>(placed));
     ++shards_[placed]->residentFlows;
-  } else {
+  } else if (trackLru_ && flow != lruTail_) {
     lruUnlink(flow);
     lruLinkTail(flow);
   }
@@ -165,14 +171,12 @@ void MultiFlowEngine::onPacket(const netflow::FlowKey& key,
   // re-interned generation may land on a different shard; its id is fresh,
   // so no state aliases.)
   Shard& shard = *shards_[shardOf_[flow]];
-  Item item;
-  item.flow = flow;
-  item.packet = packet;
-  item.backend = std::move(admissionBackend);
-  item.featureSet = admissionSet;
-  shard.pending.push_back(std::move(item));
+  const ControlIndex control =
+      admitted ? addControl(shard, std::move(admission)) : kNoControl;
+  shard.pending.items.push_back(
+      Item{.flow = flow, .control = control, .packet = packet});
   ++shard.packetsDispatched;
-  if (shard.pending.size() >= options_.dispatchBatch) {
+  if (shard.pending.items.size() >= options_.dispatchBatch) {
     flushPending(shard);
     // Dispatch-batch boundary: the migration safe point.
     maybeStartMigration();
@@ -276,23 +280,23 @@ void MultiFlowEngine::maybeStartMigration() {
   }
   if (victim == kNoFlow) return;
 
-  auto ticket = std::make_shared<MigrationTicket>();
   PendingMigration migration;
   migration.flow = victim;
   migration.from = maxShard;
   migration.to = minShard;
-  migration.ticket = ticket;
-  migration_ = std::move(migration);
+  migration.ticket = std::make_shared<MigrationTicket>();
 
   // The quiesce request rides the source FIFO behind every packet of the
   // flow dispatched so far; flush immediately so the worker reaches it
   // without waiting for the pending buffer to fill.
   Shard& src = *shards_[maxShard];
-  Item item;
-  item.flow = victim;
-  item.kind = Item::Kind::kMigrateOut;
-  item.ticket = std::move(ticket);
-  src.pending.push_back(std::move(item));
+  Control out;
+  out.ticket = migration.ticket;
+  src.pending.items.push_back(Item{.flow = victim,
+                                   .kind = Item::Kind::kMigrateOut,
+                                   .control = addControl(src, std::move(out)),
+                                   .packet = {}});
+  migration_ = std::move(migration);
   flushPending(src);
 }
 
@@ -310,20 +314,18 @@ void MultiFlowEngine::maybeCompleteMigration() {
   // target emits — per-flow order survives the shard switch.
   drainShard(src, stash_);
 
-  Item install;
-  install.flow = flow;
-  install.kind = Item::Kind::kMigrateIn;
-  install.ticket = migration_->ticket;
-  install.backend = flowStats_[flow].backend;
-  install.featureSet = flowStats_[flow].featureSet;
-  dst.pending.push_back(std::move(install));
+  const ControlIndex install =
+      addControl(dst, {.backend = flowStats_[flow].backend,
+                       .featureSet = flowStats_[flow].featureSet,
+                       .ticket = migration_->ticket});
+  dst.pending.items.push_back(Item{.flow = flow,
+                                  .kind = Item::Kind::kMigrateIn,
+                                  .control = install,
+                                  .packet = {}});
   // Replay the packets parked during the handover, in arrival order,
   // behind the install item; subsequent packets route here directly.
   for (const auto& packet : migration_->parked) {
-    Item item;
-    item.flow = flow;
-    item.packet = packet;
-    dst.pending.push_back(std::move(item));
+    dst.pending.items.push_back(Item{.flow = flow, .packet = packet});
     ++dst.packetsDispatched;
   }
   shardOf_[flow] = static_cast<std::uint32_t>(migration_->to);
@@ -333,7 +335,7 @@ void MultiFlowEngine::maybeCompleteMigration() {
   ++dst.migrationsIn;
   ++migrationsDone_;
   migration_.reset();
-  if (dst.pending.size() >= options_.dispatchBatch) flushPending(dst);
+  if (dst.pending.items.size() >= options_.dispatchBatch) flushPending(dst);
 }
 
 void MultiFlowEngine::lruLinkTail(FlowId flow) {
@@ -392,11 +394,13 @@ void MultiFlowEngine::evictFlow(FlowId flow) {
   // this generation has been processed.
   Shard& shard = *shards_[shardOf_[flow]];
   --shard.residentFlows;
-  Item item;
-  item.flow = flow;
-  item.kind = Item::Kind::kEvict;
-  shard.pending.push_back(std::move(item));
-  if (shard.pending.size() >= options_.dispatchBatch) flushPending(shard);
+  shard.pending.items.push_back(Item{.flow = flow,
+                                    .kind = Item::Kind::kEvict,
+                                    .control = kNoControl,
+                                    .packet = {}});
+  if (shard.pending.items.size() >= options_.dispatchBatch) {
+    flushPending(shard);
+  }
 }
 
 void MultiFlowEngine::pump(common::TimeNs nowNs) {
@@ -412,55 +416,84 @@ void MultiFlowEngine::pump(common::TimeNs nowNs) {
     // The kick rides the same FIFO as packets, so the worker observes it —
     // and runs the batcher deadline check — only after everything
     // dispatched before the pump.
-    Item item;
-    item.flow = kNoFlow;
-    item.kind = Item::Kind::kKick;
-    item.packet = kick;
-    shard->pending.push_back(std::move(item));
+    shard->pending.items.push_back(
+        Item{.flow = kNoFlow, .kind = Item::Kind::kKick, .packet = kick});
     flushPending(*shard);
   }
 }
 
+MultiFlowEngine::ControlIndex MultiFlowEngine::addControl(Shard& shard,
+                                                          Control control) {
+  shard.pending.controls.push_back(std::move(control));
+  return static_cast<ControlIndex>(shard.pending.controls.size() - 1);
+}
+
 void MultiFlowEngine::flushPending(Shard& shard) {
-  if (shard.pending.empty()) return;
-  std::vector<Item> batch;
-  batch.reserve(options_.dispatchBatch);
-  batch.swap(shard.pending);
+  if (shard.pending.items.empty()) return;
+  // Swap the full batch for an emptied one off the worker's free list, in
+  // the same lock hold that queues it; only a cold start or a queue deeper
+  // than the free list has seen allocates a fresh one.
+  Batch next;
   {
     common::MutexLock lock(shard.mutex);
-    shard.batches.push_back(std::move(batch));
+    shard.batches.push_back(std::move(shard.pending));
+    if (!shard.freeBatches.empty()) {
+      next = std::move(shard.freeBatches.back());
+      shard.freeBatches.pop_back();
+    }
   }
   shard.cv.notify_one();
+  if (next.items.capacity() == 0) next.items.reserve(options_.dispatchBatch);
+  shard.pending = std::move(next);
   ++batchesDispatched_;
 }
 
+void MultiFlowEngine::recycleBatch(Shard& shard, Batch& batch) {
+  batch.items.clear();
+  batch.controls.clear();  // drops the batch's backend and ticket refs
+  common::MutexLock lock(shard.mutex);
+  if (shard.freeBatches.size() < kMaxRecycledBatches) {
+    shard.freeBatches.push_back(std::move(batch));
+  }
+}
+
+std::size_t MultiFlowEngine::recycledBatches(std::size_t shard) const {
+  Shard& s = *shards_.at(shard);
+  common::MutexLock lock(s.mutex);
+  return s.freeBatches.size();
+}
+
 void MultiFlowEngine::workerLoop(Shard& shard) {
+  // Everything queued is taken in one lock hold; the emptied vector goes
+  // back as the queue, so neither side reallocates it in steady state.
+  std::vector<Batch> run;
   for (;;) {
-    std::vector<Item> batch;
     {
       common::MutexLock lock(shard.mutex);
       while (!shard.done && shard.batches.empty()) shard.cv.wait(shard.mutex);
       if (shard.batches.empty()) break;  // done and drained
-      batch = std::move(shard.batches.front());
-      shard.batches.pop_front();
+      run.swap(shard.batches);
     }
-    if (shard.error.empty()) {
-      try {
-        processBatch(shard, batch);
-      } catch (const std::exception& e) {
-        shard.error = e.what();
-      } catch (...) {
-        shard.error = "unknown worker exception";
+    for (Batch& batch : run) {
+      if (shard.error.empty()) {
+        try {
+          processBatch(shard, batch);
+        } catch (const std::exception& e) {
+          shard.error = e.what();
+        } catch (...) {
+          shard.error = "unknown worker exception";
+        }
       }
+      recycleBatch(shard, batch);
     }
+    run.clear();
   }
   if (shard.error.empty()) {
     try {
       // FlowId order: finalization output order is a function of the input
-      // stream, not of map insertion races (there are none, but be explicit).
-      for (auto& [flow, estimator] : shard.estimators) {
-        (void)flow;
-        estimator.finish();
+      // stream alone.
+      for (const auto& estimator : shard.estimators) {
+        if (estimator) estimator->finish();
       }
       if (shard.batcher) shard.batcher->flush();
     } catch (const std::exception& e) {
@@ -472,12 +505,12 @@ void MultiFlowEngine::workerLoop(Shard& shard) {
   runningWorkers_.fetch_sub(1, std::memory_order_release);
 }
 
-void MultiFlowEngine::processBatch(Shard& shard,
-                                   const std::vector<Item>& batch) {
+void MultiFlowEngine::processBatch(Shard& shard, const Batch& batch) {
   const auto wallStart = std::chrono::steady_clock::now();
   std::uint64_t packetItems = 0;
   bool evicted = false;
-  for (const Item& item : batch) {
+  auto& estimators = shard.estimators;
+  for (const Item& item : batch.items) {
     switch (item.kind) {
       case Item::Kind::kKick:
         // Pump control item: advance the shard's stream clock so the
@@ -487,12 +520,11 @@ void MultiFlowEngine::processBatch(Shard& shard,
         }
         continue;
       case Item::Kind::kEvict: {
-        const auto evictee = shard.estimators.find(item.flow);
-        if (evictee != shard.estimators.end()) {
+        if (item.flow < estimators.size() && estimators[item.flow]) {
           // Finalize-on-evict: the flow's trailing windows are emitted
           // through the normal result path before the state is dropped.
-          evictee->second.finish();
-          shard.estimators.erase(evictee);
+          estimators[item.flow]->finish();
+          estimators[item.flow].reset();
           evicted = true;
         }
         continue;
@@ -504,42 +536,43 @@ void MultiFlowEngine::processBatch(Shard& shard,
         // over, publish. The dispatcher picks the ticket up at its next
         // safe point.
         if (shard.batcher) shard.batcher->flush();
-        auto node = shard.estimators.extract(item.flow);
-        if (node.empty()) {
+        if (item.flow >= estimators.size() || !estimators[item.flow]) {
           throw std::logic_error(
               "MultiFlowEngine: migrate-out for a flow with no estimator");
         }
-        item.ticket->estimator.emplace(std::move(node.mapped()));
-        item.ticket->ready.store(true, std::memory_order_release);
+        MigrationTicket& ticket = *batch.controls[item.control].ticket;
+        ticket.estimator = std::move(estimators[item.flow]);
+        ticket.ready.store(true, std::memory_order_release);
         continue;
       }
       case Item::Kind::kMigrateIn: {
         // Install: `ready` was acquire-checked by the dispatcher before it
         // routed this item, so the estimator is here, fully quiesced.
-        if (!item.ticket->estimator.has_value()) {
+        const Control& control = batch.controls[item.control];
+        std::unique_ptr<core::StreamingEstimator> estimator =
+            std::move(control.ticket->estimator);
+        if (!estimator) {
           throw std::logic_error(
               "MultiFlowEngine: migrate-in with an empty ticket");
         }
-        core::StreamingEstimator estimator =
-            std::move(*item.ticket->estimator);
-        item.ticket->estimator.reset();
         const FlowId flow = item.flow;
         // Rebind the emission callback to THIS shard — the old one
         // referenced the source shard's ring/batcher. Same capture shapes
         // as estimator creation below.
         if (shard.batcher) {
-          estimator.rebindCallback(
-              [&shard, flow, backend = item.backend](
+          estimator->rebindCallback(
+              [&shard, flow, backend = control.backend](
                   const core::StreamingOutput& out) {
                 shard.batcher->add(flow, out, backend, shard.streamClock);
               });
         } else {
-          estimator.rebindCallback(
+          estimator->rebindCallback(
               [this, &shard, flow](const core::StreamingOutput& out) {
                 pushResult(shard, EngineResult{flow, out});
               });
         }
-        shard.estimators.try_emplace(flow, std::move(estimator));
+        if (flow >= estimators.size()) estimators.resize(flow + 1);
+        estimators[flow] = std::move(estimator);
         continue;
       }
       case Item::Kind::kPacket:
@@ -549,40 +582,41 @@ void MultiFlowEngine::processBatch(Shard& shard,
     if (item.packet.arrivalNs > shard.streamClock) {
       shard.streamClock = item.packet.arrivalNs;
     }
-    auto it = shard.estimators.find(item.flow);
-    if (it == shard.estimators.end()) {
-      const FlowId flow = item.flow;
-      // item.backend and item.featureSet were resolved at admission and
-      // ride the generation's first packet; the FIFO guarantees that packet
-      // creates the estimator.
+    const FlowId flow = item.flow;
+    if (flow >= estimators.size()) estimators.resize(flow + 1);
+    std::unique_ptr<core::StreamingEstimator>& estimator = estimators[flow];
+    if (!estimator) {
+      // The admission control (backend and feature set resolved by the
+      // dispatcher) rides the generation's first packet; the FIFO
+      // guarantees that packet creates the estimator.
+      if (item.control == kNoControl) {
+        throw std::logic_error(
+            "MultiFlowEngine: packet for a flow with no estimator");
+      }
+      const Control& admission = batch.controls[item.control];
       core::StreamingOptions streaming = options_.streaming;
-      streaming.featureSet = item.featureSet;
+      streaming.featureSet = admission.featureSet;
       if (shard.batcher) {
         // Batched inference: the estimator emits prediction-less windows
         // (no backend attached) and the admission backend rides the
         // batcher callback instead, which re-attaches batched predictions.
-        it = shard.estimators
-                 .try_emplace(
-                     flow, std::move(streaming),
-                     [&shard, flow, backend = item.backend](
-                         const core::StreamingOutput& out) {
-                       shard.batcher->add(flow, out, backend,
-                                          shard.streamClock);
-                     },
-                     nullptr)
-                 .first;
+        estimator = std::make_unique<core::StreamingEstimator>(
+            std::move(streaming),
+            [&shard, flow, backend = admission.backend](
+                const core::StreamingOutput& out) {
+              shard.batcher->add(flow, out, backend, shard.streamClock);
+            },
+            nullptr);
       } else {
-        it = shard.estimators
-                 .try_emplace(flow, std::move(streaming),
-                              [this, &shard, flow](
-                                  const core::StreamingOutput& out) {
-                                pushResult(shard, EngineResult{flow, out});
-                              },
-                              item.backend)
-                 .first;
+        estimator = std::make_unique<core::StreamingEstimator>(
+            std::move(streaming),
+            [this, &shard, flow](const core::StreamingOutput& out) {
+              pushResult(shard, EngineResult{flow, out});
+            },
+            admission.backend);
       }
     }
-    it->second.onPacket(item.packet);
+    estimator->onPacket(item.packet);
   }
   if (shard.batcher) {
     if (evicted) {
@@ -657,17 +691,20 @@ std::vector<EngineResult> MultiFlowEngine::finish() {
 
   // Resolve an in-flight migration first: the parked packets must reach
   // the target shard before the pools wind down. Keep draining while we
-  // wait — the source worker may be parked on a full result ring.
+  // wait — the source worker may be parked on a full result ring. Results
+  // stashed at a handover go ahead of anything drained after it (a flow
+  // migrated earlier emits its target-side windows into these drains).
   std::vector<EngineResult> merged;
-  while (migration_) {
+  for (;;) {
+    for (auto& result : stash_) merged.push_back(std::move(result));
+    stash_.clear();
+    if (!migration_) break;
     maybeCompleteMigration();
     if (migration_) {
       drainInto(merged);
       std::this_thread::yield();
     }
   }
-  for (auto& result : stash_) merged.push_back(std::move(result));
-  stash_.clear();
 
   for (auto& shard : shards_) {
     flushPending(*shard);

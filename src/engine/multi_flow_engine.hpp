@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -313,6 +311,16 @@ class MultiFlowEngine {
   /// `windowsEmitted` counts results as they are drained (poll/finish).
   const std::vector<FlowStats>& flowStats() const { return flowStats_; }
 
+  /// Bound on each shard's free list of emptied dispatch batches: enough to
+  /// absorb the queue-depth swings of a back-pressured feed, small enough
+  /// that an idle engine parks only a few batches' worth of memory.
+  static constexpr std::size_t kMaxRecycledBatches = 8;
+
+  /// Emptied batches currently parked on `shard`'s free list (at most
+  /// kMaxRecycledBatches). Takes the shard's queue lock; for observability
+  /// and tests, not for the per-packet path.
+  std::size_t recycledBatches(std::size_t shard) const;
+
  private:
   /// One migrating flow's handover cell, shared between the source worker,
   /// the dispatcher, and the target worker. The source moves the quiesced
@@ -322,9 +330,19 @@ class MultiFlowEngine {
   /// `ready` edge (then the batch-queue mutex), so the cell needs no lock.
   struct MigrationTicket {
     std::atomic<bool> ready{false};
-    std::optional<core::StreamingEstimator> estimator;
+    std::unique_ptr<core::StreamingEstimator> estimator;
   };
 
+  /// Index of an item's entry in its batch's `controls`; packets that carry
+  /// no control (all but a generation's admission packet) hold kNoControl.
+  using ControlIndex = std::uint32_t;
+  static constexpr ControlIndex kNoControl =
+      std::numeric_limits<ControlIndex>::max();
+
+  /// One unit of a shard's FIFO: a packet or a control request. Every
+  /// packet writes one into `pending` and the worker reads it back, so it
+  /// is kept to a cache line: the rare heavyweight payloads live in the
+  /// batch's `controls` and the item carries only their index.
   struct Item {
     enum class Kind : std::uint8_t {
       kPacket,
@@ -335,31 +353,46 @@ class MultiFlowEngine {
       /// follows the batch sees the pumped time.
       kKick,
       /// Quiesce `flow` on this (source) shard: flush the batcher, extract
-      /// the estimator into `ticket`, publish `ready`.
+      /// the estimator into the control's `ticket`, publish `ready`.
       kMigrateOut,
-      /// Install `flow` on this (target) shard: take the estimator from
-      /// `ticket`, rebind its emission callback to this shard.
+      /// Install `flow` on this (target) shard: take the estimator from the
+      /// control's `ticket`, rebind its emission callback to this shard.
       kMigrateIn,
     };
 
     FlowId flow = 0;
     Kind kind = Kind::kPacket;
+    /// Set on a flow generation's first packet (the item that creates the
+    /// estimator) and on kMigrateOut / kMigrateIn.
+    ControlIndex control = kNoControl;
     netflow::Packet packet;
-    /// Set only on a flow generation's first packet (the backend the
-    /// dispatcher resolved at admission, attached when the worker creates
-    /// the estimator; a returning re-interned flow re-resolves) and on
-    /// kMigrateIn (re-captured into the target shard's batcher callback).
+  };
+  static_assert(sizeof(Item) <= 64, "Item must fit one cache line");
+
+  /// The payload of an admission or migration item.
+  struct Control {
+    /// The backend the dispatcher resolved at admission (attached when the
+    /// worker creates the estimator; a returning re-interned flow
+    /// re-resolves), or re-captured into the target shard's batcher
+    /// callback on kMigrateIn. Null without a registry.
     core::StreamingEstimator::BackendPtr backend;
-    /// Meaningful on the admission packet only (the item that creates the
-    /// estimator): the flow's resolved feature set.
+    /// Admission only: the flow's resolved feature set.
     features::FeatureSet featureSet = features::FeatureSet::kIpUdp;
-    /// Set on kMigrateOut / kMigrateIn only.
+    /// kMigrateOut / kMigrateIn only.
     std::shared_ptr<MigrationTicket> ticket;
+  };
+
+  /// One dispatch batch. Batches are recycled (see `Shard::freeBatches`), so
+  /// both vectors keep their capacity across uses.
+  struct Batch {
+    std::vector<Item> items;
+    std::vector<Control> controls;
   };
 
   /// Thread-ownership map (enforced by `-Wthread-safety` on the guarded
   /// members, by the TSan stress suites on the confined ones):
-  ///  * `mutex`-guarded: `batches`, `done` — the dispatcher->worker handoff.
+  ///  * `mutex`-guarded: `batches`, `freeBatches`, `done` — the
+  ///    dispatcher->worker handoff and the emptied batches coming back.
   ///  * dispatcher-confined: `pending` (flushed into `batches` under the
   ///    lock).
   ///  * worker-confined after construction: `estimators`, `batcher`,
@@ -371,18 +404,31 @@ class MultiFlowEngine {
     // Input side (mutex-guarded batch queue, dispatcher -> worker).
     common::Mutex mutex;
     common::CondVar cv;
-    std::deque<std::vector<Item>> batches GUARDED_BY(mutex);
+    std::vector<Batch> batches GUARDED_BY(mutex);
+    // Processed batches, cleared by the worker and handed back for
+    // `flushPending` to refill (at most kMaxRecycledBatches).
+    std::vector<Batch> freeBatches GUARDED_BY(mutex);
     bool done GUARDED_BY(mutex) = false;
-
-    // Dispatcher-side buffer, flushed to `batches` when full.
-    std::vector<Item> pending;
 
     // Output side (lock-free SPSC ring, worker -> dispatcher).
     std::unique_ptr<SpscRing<EngineResult>> results;
 
-    // Worker-owned per-flow estimators (keyed by FlowId for deterministic
-    // finalization order).
-    std::map<FlowId, core::StreamingEstimator> estimators;
+    // The two sides' per-packet writes (`pending` and `packetsDispatched`
+    // here, `streamClock` on the worker) start on separate cache lines, so
+    // neither thread invalidates the line the other writes every packet.
+    // Dispatcher-side buffer, flushed to `batches` when full.
+    alignas(kCacheLineSize) Batch pending;
+    // Dispatcher-confined counters.
+    std::uint64_t packetsDispatched = 0;
+    std::size_t residentFlows = 0;
+    std::uint64_t migrationsIn = 0;
+    std::uint64_t migrationsOut = 0;
+
+    // Worker-owned per-flow estimators, indexed by FlowId (null: the flow
+    // has no estimator on this shard). Grows with the largest id the shard
+    // has seen; iterating it finalizes in FlowId order.
+    alignas(kCacheLineSize)
+        std::vector<std::unique_ptr<core::StreamingEstimator>> estimators;
 
     // Worker-owned cross-flow inference batcher (null when
     // `inferenceBatch <= 1`): estimators emit prediction-less windows into
@@ -402,11 +448,6 @@ class MultiFlowEngine {
     std::atomic<std::uint64_t> batchEwmaNsBits{0};
     // Worker-confined smoother behind `batchEwmaNsBits`.
     common::LoadEwma batchEwma{0.2};
-    // Dispatcher-confined counters.
-    std::uint64_t packetsDispatched = 0;
-    std::size_t residentFlows = 0;
-    std::uint64_t migrationsIn = 0;
-    std::uint64_t migrationsOut = 0;
 
     std::string error;  // first exception message seen by the worker
     std::thread thread;
@@ -420,8 +461,11 @@ class MultiFlowEngine {
       features::FeatureSet set) const;
 
   void workerLoop(Shard& shard);
-  void processBatch(Shard& shard, const std::vector<Item>& batch);
+  void processBatch(Shard& shard, const Batch& batch);
+  void recycleBatch(Shard& shard, Batch& batch);
   void pushResult(Shard& shard, EngineResult result);
+  /// Appends `control` to the shard's pending batch; returns its index.
+  static ControlIndex addControl(Shard& shard, Control control);
   void flushPending(Shard& shard);
   void drainShard(Shard& shard, std::vector<EngineResult>& out);
   void drainInto(std::vector<EngineResult>& out);
@@ -476,6 +520,9 @@ class MultiFlowEngine {
   std::vector<FlowStats> flowStats_;
   std::vector<FlowId> lruPrev_;
   std::vector<FlowId> lruNext_;
+  /// The LRU is upkept only when something reads it: idle eviction and the
+  /// migration victim scan.
+  bool trackLru_ = false;
   FlowId lruHead_ = kNoFlow;
   FlowId lruTail_ = kNoFlow;
   common::TimeNs clock_ = std::numeric_limits<common::TimeNs>::min();

@@ -1,6 +1,7 @@
 #include "features/extractors.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -61,9 +62,26 @@ void appendFlowStatistics(std::vector<double>& out,
   appendFive(out, common::fiveNumber(iats));
 }
 
-/// Number of distinct values, counted as the runs of one sorted copy held
-/// in reused thread-local scratch.
+/// Number of distinct values. UDP payload sizes are below 65,536, so a
+/// reused thread-local 65,536-bit bitmap counts first sightings in one pass;
+/// clearing only the words this window touched keeps the cost linear in
+/// the window. Any larger value falls back to counting the runs of a
+/// sorted copy.
 std::size_t distinctCount(std::span<const std::uint32_t> values) {
+  constexpr std::uint32_t kBitmapValues = 65536;
+  if (std::all_of(values.begin(), values.end(),
+                  [](std::uint32_t v) { return v < kBitmapValues; })) {
+    thread_local std::array<std::uint64_t, kBitmapValues / 64> seen{};
+    std::size_t distinct = 0;
+    for (const std::uint32_t v : values) {
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      std::uint64_t& word = seen[v >> 6];
+      distinct += (word & bit) == 0 ? 1u : 0u;
+      word |= bit;
+    }
+    for (const std::uint32_t v : values) seen[v >> 6] = 0;
+    return distinct;
+  }
   thread_local std::vector<std::uint32_t> sorted;
   sorted.assign(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());

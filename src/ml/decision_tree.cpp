@@ -45,6 +45,17 @@ struct GiniCounter {
 
 }  // namespace
 
+void validateClassLabels(std::span<const double> y) {
+  for (const double label : y) {
+    // Written so that NaN fails every comparison and is rejected too.
+    if (!(label >= 0.0 && label <= kMaxClassLabel &&
+          label == std::floor(label))) {
+      throw std::invalid_argument(
+          "classification labels must be whole numbers in [0, 65535]");
+    }
+  }
+}
+
 RankTable::RankTable(const Dataset& data) : data_(data) {
   if (data.rows() == 0) {
     throw std::invalid_argument("RankTable: empty dataset");
@@ -151,6 +162,7 @@ void DecisionTree::fit(const RankTable& ranks,
                   [rows](std::size_t row) { return row >= rows; })) {
     throw std::invalid_argument("DecisionTree::fit: sample row out of range");
   }
+  if (task == TreeTask::kClassification) validateClassLabels(ranks.data().y);
   task_ = task;
   options_ = options;
   nodes_.clear();

@@ -54,12 +54,22 @@ class RankTable {
   std::vector<std::pair<double, double>> sorted_;  // [f * rows + rank]
 };
 
+/// Largest class label a classification fit accepts. Labels index per-class
+/// counters, so they must be whole numbers in [0, kMaxClassLabel]; frame
+/// heights, the largest labels the paper's targets use, fit.
+inline constexpr double kMaxClassLabel = 65535.0;
+
+/// Throws std::invalid_argument unless every label in `y` is a whole number
+/// in [0, kMaxClassLabel] (NaN included among the rejected).
+void validateClassLabels(std::span<const double> y);
+
 class DecisionTree {
  public:
   /// Fits on the rows of `data` selected by `sampleIdx` (with repetition
   /// allowed — bagging passes bootstrap samples). Throws
-  /// std::invalid_argument on empty or invalid data (Dataset::validate) or
-  /// a sample index out of range.
+  /// std::invalid_argument on empty or invalid data (Dataset::validate), a
+  /// sample index out of range, or, for classification, a label
+  /// `validateClassLabels` rejects.
   void fit(const Dataset& data, std::span<const std::size_t> sampleIdx,
            TreeTask task, const TreeOptions& options, common::Rng& rng);
   /// As above, on the rows of `ranks.data()`, reusing a prebuilt table.

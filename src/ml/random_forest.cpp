@@ -17,6 +17,8 @@ void RandomForest::fit(const Dataset& data, TreeTask task,
   }
   // Validates the data, then orders each feature once for every tree.
   const RankTable ranks(data);
+  // Before any fit thread starts: a throw inside one would terminate.
+  if (task == TreeTask::kClassification) validateClassLabels(data.y);
   task_ = task;
   featureNames_ = data.featureNames;
 

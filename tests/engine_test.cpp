@@ -32,13 +32,14 @@ struct Interleaved {
 };
 
 Interleaved makeInterleaved(int flows, int packetsPerFlow,
-                            std::uint64_t seed = 7) {
+                            std::uint64_t seed = 7,
+                            common::TimeNs startStepNs = 37'000) {
   Interleaved in;
   for (int f = 0; f < flows; ++f) {
     in.keys.push_back(makeKey(static_cast<std::uint32_t>(f)));
     in.perFlow.push_back(
         syntheticFlowTrace(seed + static_cast<std::uint64_t>(f),
-                           packetsPerFlow, /*startNs=*/f * 37'000));
+                           packetsPerFlow, /*startNs=*/f * startStepNs));
   }
   for (int f = 0; f < flows; ++f) {
     for (const auto& packet : in.perFlow[static_cast<std::size_t>(f)]) {
@@ -1023,6 +1024,266 @@ TEST(MultiFlowEngine, DemuxCacheCountsHitsAndSurvivesEviction) {
   EXPECT_EQ(stats.demuxCacheLookups, stats.packetsIngested);
   // All but the two admission packets hit the single-flow cache line.
   EXPECT_EQ(stats.demuxCacheHits, stats.packetsIngested - 2);
+}
+
+// --------------------------------------- dispatcher -> worker hand-off
+
+/// The VCA verdict the hand-off suite keys its registry with: flows of even
+/// synthetic index resolve "meet", odd ones "teams", so neighbouring flows
+/// carry different admission backends through the batch controls.
+std::string handOffVca(const netflow::FlowKey& key) {
+  return (key.srcIp & 1u) != 0 ? "teams" : "meet";
+}
+
+std::shared_ptr<inference::ModelRegistry> handOffRegistry() {
+  auto registry = std::make_shared<inference::ModelRegistry>();
+  registry->registerBackend(
+      "meet", inference::QoeTarget::kFrameRate,
+      std::make_shared<inference::ForestBackend>(
+          syntheticForest(3, 4, 30.0), inference::QoeTarget::kFrameRate,
+          "forest:meet/frame_rate"));
+  registry->registerBackend(
+      "teams", inference::QoeTarget::kFrameRate,
+      std::make_shared<inference::ForestBackend>(
+          syntheticForest(3, 4, 15.0), inference::QoeTarget::kFrameRate,
+          "forest:teams/frame_rate"));
+  return registry;
+}
+
+EngineOptions handOffOptions(
+    const std::shared_ptr<inference::ModelRegistry>& registry) {
+  EngineOptions options;
+  options.registry = registry;
+  options.targets = {inference::QoeTarget::kFrameRate};
+  options.vcaResolver = handOffVca;
+  return options;
+}
+
+/// Sequential reference with inference: each trace through its own
+/// estimator holding the backend its key resolves to.
+std::vector<core::StreamingOutput> referenceWithBackend(
+    const netflow::PacketTrace& trace, const netflow::FlowKey& key,
+    const EngineOptions& options) {
+  std::vector<core::StreamingOutput> outputs;
+  core::StreamingEstimator estimator(
+      options.streaming,
+      [&outputs](const core::StreamingOutput& out) { outputs.push_back(out); },
+      options.registry->resolveSet(handOffVca(key), options.targets,
+                                   options.streaming.featureSet));
+  for (const auto& packet : trace) estimator.onPacket(packet);
+  estimator.finish();
+  return outputs;
+}
+
+void expectFlowOutput(const std::vector<EngineResult>& results, FlowId flow,
+                      const std::vector<core::StreamingOutput>& want) {
+  std::vector<core::StreamingOutput> got;
+  for (const auto& result : results) {
+    if (result.flow == flow) got.push_back(result.output);
+  }
+  ASSERT_EQ(got.size(), want.size()) << "flow " << flow;
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    expectSameOutput(got[w], want[w]);
+    EXPECT_FALSE(got[w].predictions.empty()) << "flow " << flow;
+  }
+}
+
+/// Every flow of `in` (none evicted) matches its sequential reference.
+void expectAllFlowsMatch(const MultiFlowEngine& engine,
+                         const std::vector<EngineResult>& results,
+                         const Interleaved& in, const EngineOptions& options) {
+  for (std::size_t f = 0; f < in.keys.size(); ++f) {
+    const auto id = engine.flows().find(in.keys[f]);
+    ASSERT_TRUE(id.has_value()) << "flow " << f;
+    expectFlowOutput(results, *id,
+                     referenceWithBackend(in.perFlow[f], in.keys[f], options));
+    EXPECT_EQ(engine.flowStats()[*id].backendName(),
+              "forest:" + handOffVca(in.keys[f]) + "/frame_rate");
+  }
+}
+
+class EngineHandOffBatch
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+/// Dispatch batches of 1, 2 and 3 items on 1 and 3 workers, with flows
+/// starting one after another mid-stream: admission items (the only packet
+/// items carrying a control) land at every position of a batch, and each
+/// must hand its own backend and feature set to the estimator it creates.
+TEST_P(EngineHandOffBatch, AdmissionAtEveryBatchPositionBitIdentical) {
+  const std::size_t dispatchBatch = std::get<0>(GetParam());
+  const int workers = std::get<1>(GetParam());
+  const auto in = makeInterleaved(8, 500, 11, 61 * common::kNanosPerMilli);
+  auto options = handOffOptions(handOffRegistry());
+  options.numWorkers = workers;
+  options.dispatchBatch = dispatchBatch;
+  MultiFlowEngine engine(options);
+  std::vector<EngineResult> results;
+  std::size_t fed = 0;
+  for (const auto& [flow, packet] : in.stream) {
+    engine.onPacket(in.keys[flow], packet);
+    if (++fed % 97 == 0) engine.poll(results);
+  }
+  for (auto& result : engine.finish()) results.push_back(std::move(result));
+  const auto registry = engine.stats().registry;
+  EXPECT_EQ(registry.hits + registry.misses, in.keys.size());
+  expectAllFlowsMatch(engine, results, in, options);
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchPositions, EngineHandOffBatch,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                                            ::testing::Values(1, 3)));
+
+/// A flow admitted, evicted and re-admitted while everything still sits in
+/// one pending batch: admission control, packets, evict item and the next
+/// generation's admission all ride the same batch to the worker, and the
+/// emptied slot of the retired id must not leak into the new generation.
+TEST(EngineHandOff, FlowAdmittedAndEvictedWithinOneBatch) {
+  const auto keyA = makeKey(1);
+  const auto keyB = makeKey(2);
+  const auto firstA = steadyTrace(0, 4);
+  const auto traceB = steadyTrace(2 * common::kNanosPerSecond, 60);
+  const auto laterA = steadyTrace(2205 * common::kNanosPerMilli, 30);
+  // Arrival-ordered merge: B's first packet moves the clock 2 s on and
+  // evicts A's first generation; A returns while B is still running.
+  std::vector<std::pair<netflow::FlowKey, netflow::Packet>> stream;
+  for (const auto& p : firstA) stream.emplace_back(keyA, p);
+  for (const auto& p : traceB) stream.emplace_back(keyB, p);
+  for (const auto& p : laterA) stream.emplace_back(keyA, p);
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.arrivalNs < b.second.arrivalNs;
+                   });
+  for (const int workers : {1, 2}) {
+    auto options = handOffOptions(handOffRegistry());
+    options.numWorkers = workers;
+    options.dispatchBatch = 256;
+    options.idleTimeoutNs = common::kNanosPerSecond;
+    MultiFlowEngine engine(options);
+    for (const auto& [key, packet] : stream) engine.onPacket(key, packet);
+    EXPECT_EQ(engine.stats().batchesDispatched, 0u) << workers;
+    EXPECT_EQ(engine.stats().flowsEvicted, 1u);
+    const auto results = engine.finish();
+    ASSERT_EQ(engine.flows().size(), 3u);
+    EXPECT_TRUE(engine.flowStats()[0].evicted);
+    // Ids: A's first generation 0, B 1, A's second generation 2.
+    expectFlowOutput(results, 0, referenceWithBackend(firstA, keyA, options));
+    expectFlowOutput(results, 1, referenceWithBackend(traceB, keyB, options));
+    expectFlowOutput(results, 2, referenceWithBackend(laterA, keyA, options));
+  }
+}
+
+/// A forced migration with inference on, per-window and batched: the
+/// migrate-out ticket and the migrate-in ticket plus backend ride the
+/// batch controls, and the migrated flow's output stays bit-identical.
+TEST(EngineHandOff, MigrationTicketsRideTheControlsVector) {
+  const auto in = makeSkewedInterleaved(4, 4000, 150);
+  for (const std::size_t inferenceBatch : {1u, 4u}) {
+    auto options = handOffOptions(handOffRegistry());
+    options.numWorkers = 2;
+    options.dispatchBatch = 8;
+    options.resultRingCapacity = 0;  // clamps to 2: the worker parks
+    options.migrateFlows = true;
+    options.migrateImbalance = 1.0;
+    options.inferenceBatch = inferenceBatch;
+    MultiFlowEngine engine(options);
+    for (const auto& [flow, packet] : in.stream) {
+      engine.onPacket(in.keys[flow], packet);
+    }
+    const auto results = engine.finish();
+    EXPECT_GE(engine.stats().migrations, 1u) << inferenceBatch;
+    expectAllFlowsMatch(engine, results, in, options);
+  }
+}
+
+/// finish() orders results by (flow id, window) whatever shard ran each
+/// flow: ids interleave round-robin over 3 shards, and idle eviction
+/// leaves emptied slots between live ones in each shard's table.
+TEST(EngineHandOff, FinishOrdersResultsByFlowIdAcrossShards) {
+  Interleaved in;
+  const int flows = 12;
+  for (int f = 0; f < flows; ++f) {
+    in.keys.push_back(makeKey(static_cast<std::uint32_t>(f)));
+    // Every third flow is short and goes idle early; the rest run on.
+    in.perFlow.push_back(syntheticFlowTrace(
+        90 + static_cast<std::uint64_t>(f), f % 3 == 1 ? 120 : 2500,
+        f * 40 * common::kNanosPerMilli));
+  }
+  for (int f = 0; f < flows; ++f) {
+    for (const auto& packet : in.perFlow[static_cast<std::size_t>(f)]) {
+      in.stream.emplace_back(static_cast<std::uint32_t>(f), packet);
+    }
+  }
+  std::stable_sort(in.stream.begin(), in.stream.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.arrivalNs < b.second.arrivalNs;
+                   });
+  auto options = handOffOptions(handOffRegistry());
+  options.numWorkers = 3;
+  options.dispatchBatch = 16;
+  options.idleTimeoutNs = common::kNanosPerSecond;
+  MultiFlowEngine engine(options);
+  for (const auto& [flow, packet] : in.stream) {
+    engine.onPacket(in.keys[flow], packet);
+  }
+  const auto results = engine.finish();
+  EXPECT_GE(engine.stats().flowsEvicted, 4u);
+  ASSERT_EQ(engine.flows().size(), static_cast<std::size_t>(flows));
+
+  // The whole merged stream equals the references concatenated in id order.
+  std::vector<std::pair<FlowId, core::StreamingOutput>> want;
+  std::vector<std::size_t> keyOfId(static_cast<std::size_t>(flows));
+  for (std::size_t f = 0; f < in.keys.size(); ++f) {
+    const auto& stats = engine.flowStats();
+    const auto id = static_cast<std::size_t>(
+        std::find_if(stats.begin(), stats.end(),
+                     [&](const FlowStats& s) { return s.key == in.keys[f]; }) -
+        stats.begin());
+    ASSERT_LT(id, keyOfId.size());
+    keyOfId[id] = f;
+  }
+  for (std::size_t id = 0; id < keyOfId.size(); ++id) {
+    const std::size_t f = keyOfId[id];
+    for (auto& out : referenceWithBackend(in.perFlow[f], in.keys[f], options)) {
+      want.emplace_back(static_cast<FlowId>(id), std::move(out));
+    }
+  }
+  ASSERT_EQ(results.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(results[i].flow, want[i].first) << "result " << i;
+    expectSameOutput(results[i].output, want[i].second);
+  }
+}
+
+/// Emptied batches come back to the dispatcher through a bounded free list:
+/// over a long back-pressured run it never exceeds its bound, and it is
+/// actually used (the final batches are parked there after finish()).
+TEST(EngineHandOff, FreeListStaysWithinItsBound) {
+  const auto in = makeInterleaved(24, 3000, 5);
+  auto options = handOffOptions(handOffRegistry());
+  options.numWorkers = 2;
+  options.dispatchBatch = 16;
+  MultiFlowEngine engine(options);
+  std::vector<EngineResult> results;
+  std::size_t fed = 0;
+  std::size_t maxParked = 0;
+  for (const auto& [flow, packet] : in.stream) {
+    engine.onPacket(in.keys[flow], packet);
+    if (++fed % 251 == 0) {
+      engine.poll(results);
+      for (std::size_t s = 0; s < 2; ++s) {
+        maxParked = std::max(maxParked, engine.recycledBatches(s));
+      }
+    }
+  }
+  for (auto& result : engine.finish()) results.push_back(std::move(result));
+  EXPECT_LE(maxParked, MultiFlowEngine::kMaxRecycledBatches);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_GE(engine.recycledBatches(s), 1u);
+    EXPECT_LE(engine.recycledBatches(s), MultiFlowEngine::kMaxRecycledBatches);
+  }
+  EXPECT_GT(engine.stats().batchesDispatched,
+            2 * MultiFlowEngine::kMaxRecycledBatches);
+  expectAllFlowsMatch(engine, results, in, options);
 }
 
 }  // namespace

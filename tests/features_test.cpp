@@ -170,10 +170,14 @@ TEST(Semantic, UniqueSizesCounted) {
 }
 
 TEST(Semantic, UniqueSizesMatchSetCount) {
-  // The unique-size feature (runs of a sorted copy) against a std::set
-  // count: empty, one, two (equal and distinct), all-equal, tie-heavy
-  // packet sizes (a few MTU-sized values repeated, as a video frame's
-  // packets are), and sizes at the uint32 extremes.
+  // The unique-size feature against a std::set count: empty, one, two
+  // (equal and distinct), all-equal, tie-heavy packet sizes (a few
+  // MTU-sized values repeated, as a video frame's packets are), the
+  // bitmap's edges (0, 63/64 and 127/128 across word boundaries, 65535)
+  // with duplicates on both sides of a boundary, and rows holding a size
+  // >= 65536, which take the sorted-copy fallback. Cases run back to back
+  // on one thread, so a bit left set by one case would undercount the next
+  // (the repeats of 1200 and 63/64 check exactly that).
   std::vector<std::vector<std::uint32_t>> cases = {
       {},
       {1200},
@@ -181,6 +185,12 @@ TEST(Semantic, UniqueSizesMatchSetCount) {
       {1200, 1199},
       std::vector<std::uint32_t>(257, 1188),
       {0, 4294967295u, 0, 4294967295u, 65535, 65536},
+      {0},
+      {0, 63, 64, 65535},
+      {63, 64, 63, 64, 127, 128, 128, 127, 0, 0, 65535, 65535},
+      {63, 64, 65536, 63},
+      {63, 64},
+      {65535, 65534, 65535, 1, 1},
   };
   std::uint32_t state = 7;
   for (const std::size_t n : {3u, 130u, 131u, 1024u}) {

@@ -337,6 +337,48 @@ TEST(RandomForest, FitRejectsNonFiniteFeaturesAndTargets) {
   }
 }
 
+TEST(RandomForest, FitRejectsClassLabelsThatCannotIndexACounter) {
+  // Labels index per-class counters: a negative, fractional, too-large or
+  // NaN label must be refused before anything is indexed or allocated.
+  for (const double bad : {-1.0, 0.5, 65536.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    Dataset d = stepDataset(50, 28);
+    d.y[7] = bad;
+    for (const int threads : {1, 4}) {
+      RandomForest forest;
+      ForestOptions opts;
+      opts.numTrees = 4;
+      opts.threads = threads;
+      EXPECT_THROW(forest.fit(d, TreeTask::kClassification, opts, 1),
+                   std::invalid_argument)
+          << bad;
+    }
+    std::vector<std::size_t> idx(d.rows());
+    std::iota(idx.begin(), idx.end(), 0);
+    DecisionTree tree;
+    common::Rng rng(4);
+    EXPECT_THROW(
+        tree.fit(d, idx, TreeTask::kClassification, TreeOptions{}, rng),
+        std::invalid_argument)
+        << bad;
+    if (!std::isnan(bad)) {
+      // The regression task takes any finite target.
+      RandomForest regression;
+      ForestOptions opts;
+      opts.numTrees = 2;
+      EXPECT_NO_THROW(regression.fit(d, TreeTask::kRegression, opts, 1));
+    }
+  }
+  // The bounds themselves are accepted.
+  Dataset edges = stepDataset(50, 29);
+  edges.y[0] = 0.0;
+  edges.y[1] = 65535.0;
+  RandomForest forest;
+  ForestOptions opts;
+  opts.numTrees = 2;
+  EXPECT_NO_THROW(forest.fit(edges, TreeTask::kClassification, opts, 1));
+}
+
 TEST(RandomForest, FitRejectsRaggedRows) {
   Dataset shortRow = stepDataset(50, 26);
   shortRow.x[5].pop_back();
